@@ -69,7 +69,7 @@ fn spawn_per_call_is_match(re: &Regex, input: &[u8], threads: usize) -> bool {
     };
     let mut q = sfa.dfa_start();
     for &f in &partials {
-        q = sfa.mapping(f).apply(q);
+        q = sfa.apply(f, q);
     }
     sfa.dfa_is_accepting(q)
 }

@@ -13,9 +13,12 @@
 use crate::mapping::Transformation;
 #[cfg(feature = "simd")]
 use crate::simd;
+use crate::table::{extend_ids, ids, read_repr, ArtifactTables, PackedId, RawTables, TableBuf};
 use crate::SfaConfig;
 use sfa_automata::{ByteClasses, CompileError, Dfa, PatternSet, StateId};
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap, RandomState};
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
+use std::ops::Range;
 use std::sync::OnceLock;
 
 /// Identifier of an SFA state.
@@ -105,99 +108,6 @@ impl std::fmt::Display for StateIdRepr {
     }
 }
 
-/// Storage-width abstraction behind the packed tables: all three widths
-/// implement the same two-method interface so each scan loop is written
-/// once, generically, and monomorphized per width — the repr is matched
-/// **once per call**, never per byte.
-trait PackedId: Copy {
-    fn pack(v: SfaStateId) -> Self;
-    fn unpack(self) -> SfaStateId;
-}
-
-impl PackedId for u8 {
-    #[inline(always)]
-    fn pack(v: SfaStateId) -> u8 {
-        v as u8
-    }
-    #[inline(always)]
-    fn unpack(self) -> SfaStateId {
-        self as SfaStateId
-    }
-}
-
-impl PackedId for u16 {
-    #[inline(always)]
-    fn pack(v: SfaStateId) -> u16 {
-        v as u16
-    }
-    #[inline(always)]
-    fn unpack(self) -> SfaStateId {
-        self as SfaStateId
-    }
-}
-
-impl PackedId for u32 {
-    #[inline(always)]
-    fn pack(v: SfaStateId) -> u32 {
-        v
-    }
-    #[inline(always)]
-    fn unpack(self) -> SfaStateId {
-        self
-    }
-}
-
-/// A row-major state-id table in one of the three packed widths.
-/// `pub(crate)` so the `simd` kernels can borrow the premultiplied table
-/// at its packed width.
-#[derive(Clone, Debug)]
-pub(crate) enum PackedIds {
-    U8(Box<[u8]>),
-    U16(Box<[u16]>),
-    U32(Box<[u32]>),
-}
-
-impl PackedIds {
-    /// Packs full-width working ids down to `repr`. The caller guarantees
-    /// every id fits (the repr is never narrower than `|S_d|` requires).
-    fn pack(ids: &[SfaStateId], repr: StateIdRepr) -> PackedIds {
-        match repr {
-            StateIdRepr::U8 => PackedIds::U8(ids.iter().map(|&v| u8::pack(v)).collect()),
-            StateIdRepr::U16 => PackedIds::U16(ids.iter().map(|&v| u16::pack(v)).collect()),
-            StateIdRepr::U32 => PackedIds::U32(ids.iter().map(|&v| u32::pack(v)).collect()),
-        }
-    }
-
-    /// One entry, widened back to the interface width.
-    #[inline]
-    fn get(&self, i: usize) -> SfaStateId {
-        match self {
-            PackedIds::U8(t) => t[i].unpack(),
-            PackedIds::U16(t) => t[i].unpack(),
-            PackedIds::U32(t) => t[i].unpack(),
-        }
-    }
-
-    /// Total packed footprint in bytes.
-    fn bytes(&self) -> usize {
-        match self {
-            PackedIds::U8(t) => t.len(),
-            PackedIds::U16(t) => t.len() * 2,
-            PackedIds::U32(t) => t.len() * 4,
-        }
-    }
-
-    /// Widens the whole table back to `u32` (the boundary representation
-    /// [`DSfa::as_dfa`] hands to the automata layer).
-    fn unpack(&self) -> Vec<SfaStateId> {
-        match self {
-            PackedIds::U8(t) => t.iter().map(|&v| v.unpack()).collect(),
-            PackedIds::U16(t) => t.iter().map(|&v| v.unpack()).collect(),
-            PackedIds::U32(t) => t.iter().map(|&v| v.unpack()).collect(),
-        }
-    }
-}
-
 /// Number of independent inputs [`DSfa::run_from_many`] walks in lockstep.
 ///
 /// Four dependent table loads in flight cover typical L2 latency without
@@ -277,46 +187,119 @@ fn scan_dense_lanes<T: PackedId>(
     }
 }
 
+/// Mapping rows by hash: the interning index of [`DSfa::from_dfa`] and
+/// the index behind [`DSfa::state_of`]. Rows are hashed with a randomly
+/// keyed SipHash, like any `HashMap` key, so patterns cannot be crafted
+/// to make rows collide; the map then uses that hash as is. A hit is
+/// confirmed by comparing the stored row, so a collision costs a
+/// comparison, never a wrong state.
+#[derive(Clone, Debug, Default)]
+struct RowIndex {
+    hasher: RandomState,
+    first: HashMap<u64, SfaStateId, BuildHasherDefault<KeyIsHash>>,
+    /// States whose row hash was already taken by a different row.
+    collided: Vec<SfaStateId>,
+}
+
+/// The hasher of [`RowIndex`]'s map, whose `u64` keys are hashes already.
+#[derive(Default)]
+struct KeyIsHash(u64);
+
+impl Hasher for KeyIsHash {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("RowIndex keys are u64 hashes")
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key;
+    }
+}
+
+impl RowIndex {
+    /// The hash a row is indexed under.
+    fn hash(&self, row: &[u8]) -> u64 {
+        self.hasher.hash_one(row)
+    }
+
+    /// The indexed state whose row hashes to `hash` and is `same`.
+    fn find(&self, hash: u64, same: impl Fn(SfaStateId) -> bool) -> Option<SfaStateId> {
+        let hit = *self.first.get(&hash)?;
+        if same(hit) {
+            Some(hit)
+        } else {
+            self.collided.iter().copied().find(|&s| same(s))
+        }
+    }
+
+    /// Indexes state `s`, whose row hashes to `hash`.
+    fn insert(&mut self, hash: u64, s: SfaStateId) {
+        match self.first.entry(hash) {
+            Entry::Vacant(slot) => {
+                slot.insert(s);
+            }
+            Entry::Occupied(_) => self.collided.push(s),
+        }
+    }
+}
+
 /// A simultaneous finite automaton built from a DFA.
+///
+/// The transition tables and state mappings live in one byte buffer in
+/// the layout described in [`crate::table`]. [`from_dfa`](DSfa::from_dfa)
+/// builds and owns that buffer; [`from_artifact`](DSfa::from_artifact)
+/// borrows it zero-copy from a serialized artifact (typically an mmap).
+/// Either way the automaton is the same type with the same scan loops and
+/// SIMD kernels. Small derived state — the sink and accepting bitmaps and
+/// the source DFA's accept sets — is always owned.
 #[derive(Clone, Debug)]
 pub struct DSfa {
     classes: ByteClasses,
     stride: usize,
-    /// The packed width both tables store ids at (never narrower than
-    /// `|S_d|` requires; see [`StateIdRepr`]).
+    /// The packed width both transition tables store ids at (never
+    /// narrower than `|S_d|` requires; see [`StateIdRepr`]).
     repr: StateIdRepr,
-    table: PackedIds,
+    num_states: usize,
+    /// The buffer all three tables below index into.
+    buf: TableBuf,
+    /// The class-compressed rows: `|S_d| × stride` ids.
+    table: Range<usize>,
     /// Premultiplied dense `256 × |S_d|` byte→state table (row `s` holds
     /// the successor of `s` for every raw byte value), built when
     /// [`SfaConfig::premultiply`] is set and the **packed** table fits the
     /// size ceiling. Fuses the `class_of` indirection out of the hot loop.
-    byte_table: Option<PackedIds>,
+    byte_table: Option<Range<usize>>,
+    /// The state mappings: `|S_d| × |D|` `u32` DFA state ids.
+    mappings: Range<usize>,
     /// `sink[s]` is true when every transition of `s` loops back to `s` —
     /// once reached, the mapping can never change again, so a chunk run may
     /// stop early (the constant/synchronizing-word early exit: the all-dead
     /// mapping is always a sink, and in `Contains` mode so is the
     /// constant-to-accepting mapping).
     sink: Box<[bool]>,
-    accepting: Vec<bool>,
-    mappings: Vec<Transformation>,
-    /// Mapping → state-id index, built lazily on the first
-    /// [`state_of`](DSfa::state_of) / [`compose_states`](DSfa::compose_states)
-    /// call that needs it (streaming composition does; the chunk-scan hot
-    /// paths never do). Costs roughly as much memory as `mappings` itself,
-    /// which is why it is not built eagerly for every SFA.
-    state_index: OnceLock<HashMap<Transformation, SfaStateId>>,
+    accepting: Box<[bool]>,
+    /// Every state's mapping row by hash — the index behind
+    /// [`state_of`](DSfa::state_of) and
+    /// [`compose_states`](DSfa::compose_states), built on the first call
+    /// that needs it (lane folds and streaming composition do; plain
+    /// scans never do). The rows themselves stay in the mapping table,
+    /// so the index costs about 20 bytes per state.
+    state_index: OnceLock<RowIndex>,
     /// SIMD kernels for this automaton, built lazily on the first scan
     /// after runtime CPU detection (`None` when only the scalar loops
     /// apply — no premultiplied table, unsupported CPU, or non-x86_64).
     #[cfg(feature = "simd")]
     simd: OnceLock<Option<simd::SimdKernels>>,
     dfa_start: StateId,
-    dfa_accepting: Vec<bool>,
+    dfa_accepting: Box<[bool]>,
     /// Number of original patterns compiled into the source DFA.
     pattern_count: usize,
     /// Per-DFA-state index into `dfa_accept_sets` (copied from the source
     /// DFA): which patterns each DFA state accepts.
-    dfa_accept_index: Vec<u32>,
+    dfa_accept_index: Box<[u32]>,
     /// The distinct pattern accept sets of the source DFA (entry 0 is the
     /// empty set).
     dfa_accept_sets: Vec<PatternSet>,
@@ -330,118 +313,163 @@ impl DSfa {
     /// discovered mapping by every byte class:
     /// `f_next(q) = δ(f(q), σ)`. Mappings are interned so each distinct
     /// transformation becomes exactly one SFA state.
+    ///
+    /// Each new mapping is written once, straight into the automaton's
+    /// buffer as its mapping row; the interning index keys a row's hash
+    /// to its state and confirms a hit by comparing the stored row, so no
+    /// mapping is held twice.
     pub fn from_dfa(dfa: &Dfa, config: &SfaConfig) -> Result<DSfa, CompileError> {
-        let n = dfa.num_states();
-        let stride = dfa.num_classes();
-
-        let mut ids: HashMap<Transformation, SfaStateId> = HashMap::new();
-        let mut mappings: Vec<Transformation> = Vec::new();
-        let mut table: Vec<SfaStateId> = Vec::new();
-
-        let intern = |f: Transformation,
-                      mappings: &mut Vec<Transformation>,
-                      ids: &mut HashMap<Transformation, SfaStateId>|
-         -> Result<SfaStateId, CompileError> {
-            if let Some(&id) = ids.get(&f) {
-                return Ok(id);
+        let (d, stride) = (dfa.num_states(), dfa.num_classes());
+        let row_bytes = 4 * d;
+        let mut buf: Vec<u8> = Vec::new();
+        let mut index = RowIndex::default();
+        let mut intern = |row: &[u8], buf: &mut Vec<u8>| -> Result<SfaStateId, CompileError> {
+            let hash = index.hash(row);
+            let same = |s: SfaStateId| buf[s as usize * row_bytes..][..row_bytes] == *row;
+            if let Some(s) = index.find(hash, same) {
+                return Ok(s);
             }
-            if mappings.len() >= config.max_states {
+            let id = buf.len() / row_bytes;
+            if id >= config.max_states {
                 return Err(CompileError::TooManyStates { limit: config.max_states });
             }
-            let id = mappings.len() as SfaStateId;
-            ids.insert(f.clone(), id);
-            mappings.push(f);
-            Ok(id)
+            index.insert(hash, id as SfaStateId);
+            buf.extend_from_slice(row);
+            Ok(id as SfaStateId)
         };
 
-        let initial = intern(Transformation::identity(n), &mut mappings, &mut ids)?;
+        let identity: Vec<u8> = (0..d as StateId).flat_map(StateId::to_le_bytes).collect();
+        let initial = intern(&identity, &mut buf)?;
         debug_assert_eq!(initial, 0);
-
+        let mut table: Vec<SfaStateId> = Vec::new();
+        let mut current: Vec<StateId> = Vec::with_capacity(d);
+        let mut next = identity;
         let mut processed = 0usize;
-        while processed < mappings.len() {
-            let current = mappings[processed].clone();
-            processed += 1;
-            for class in 0..stride {
-                let next = Transformation::from_vec(
-                    current
-                        .as_slice()
-                        .iter()
-                        .map(|&q| dfa.next_by_class(q, class as u16))
-                        .collect(),
-                );
-                let next_id = intern(next, &mut mappings, &mut ids)?;
-                table.push(next_id);
+        while processed < buf.len() / row_bytes {
+            current.clear();
+            current.extend(ids::<4>(&buf)[processed * d..][..d].iter().map(|f| f.unpack()));
+            for class in 0..stride as u16 {
+                for (t, &f) in next.as_chunks_mut::<4>().0.iter_mut().zip(&current) {
+                    *t = dfa.next_by_class(f, class).to_le_bytes();
+                }
+                table.push(intern(&next, &mut buf)?);
             }
+            processed += 1;
         }
-
-        let dfa_start = dfa.start();
-        let accepting = mappings.iter().map(|f| dfa.is_accepting(f.apply(dfa_start))).collect();
-
-        let num_states = mappings.len();
-        let sink: Box<[bool]> = (0..num_states)
-            .map(|s| (0..stride).all(|c| table[s * stride + c] == s as SfaStateId))
-            .collect();
+        drop(index);
 
         // Interning works in full-width ids; only now that |S_d| is known
         // can the storage width be chosen. A configured override is
         // honored only when it is at least as wide as the automaton
         // requires (a narrower one would truncate ids).
+        let num_states = processed;
         let auto = StateIdRepr::for_states(num_states);
         let repr = match config.repr {
             Some(r) if r.bytes() >= auto.bytes() => r,
             _ => auto,
         };
-
-        let classes = dfa.classes().clone();
-        let byte_table = if config.premultiply
+        let premultiply = config.premultiply
             && num_states.saturating_mul(256).saturating_mul(repr.bytes())
-                <= SfaConfig::PREMULTIPLY_MAX_BYTES
-        {
-            // Built directly at the packed width — a u32 staging table for
-            // a 65k-state u16 automaton would transiently double the 64 MiB
-            // ceiling this gate just enforced.
-            fn dense<T: PackedId>(
-                table: &[SfaStateId],
-                classes: &ByteClasses,
-                stride: usize,
-                num_states: usize,
-            ) -> Box<[T]> {
-                let mut out = Vec::with_capacity(num_states * 256);
-                for s in 0..num_states {
-                    let row = &table[s * stride..(s + 1) * stride];
-                    for byte in 0..=255u8 {
-                        out.push(T::pack(row[classes.class_of(byte) as usize]));
-                    }
-                }
-                out.into_boxed_slice()
-            }
-            Some(match repr {
-                StateIdRepr::U8 => PackedIds::U8(dense(&table, &classes, stride, num_states)),
-                StateIdRepr::U16 => PackedIds::U16(dense(&table, &classes, stride, num_states)),
-                StateIdRepr::U32 => PackedIds::U32(dense(&table, &classes, stride, num_states)),
-            })
-        } else {
-            None
-        };
+                <= SfaConfig::PREMULTIPLY_MAX_BYTES;
 
-        Ok(DSfa {
-            classes,
+        // The class rows and the byte table follow the mapping rows. The
+        // byte table is packed straight from the class rows — a u32
+        // staging table for a 65k-state u16 automaton would transiently
+        // double the 64 MiB ceiling just enforced.
+        let mappings = 0..buf.len();
+        buf.reserve_exact(
+            num_states * (stride + if premultiply { 256 } else { 0 }) * repr.bytes() + 3,
+        );
+        extend_ids(&mut buf, repr, table.iter().copied());
+        let class_rows = mappings.end..buf.len();
+        let classes = dfa.classes();
+        let byte_table = premultiply.then(|| {
+            let start = buf.len();
+            let dense = table
+                .chunks_exact(stride)
+                .flat_map(|row| (0..=255u8).map(move |byte| row[classes.class_of(byte) as usize]));
+            extend_ids(&mut buf, repr, dense);
+            start..buf.len()
+        });
+        // The gather kernel reads a whole dword per lookup, up to three
+        // bytes past the byte table's end.
+        buf.extend_from_slice(&[0; 3]);
+        Ok(DSfa::assemble(
+            TableBuf::Owned(buf.into_boxed_slice()),
+            repr,
+            num_states,
+            class_rows,
+            byte_table,
+            mappings,
+            dfa,
+        ))
+    }
+
+    /// Assembles an automaton over tables loaded zero-copy from an
+    /// artifact buffer: the tables stay in `tables.data`, which the
+    /// automaton keeps alive.
+    ///
+    /// `dfa` is the reconstructed (and already [`Dfa::validate`]d) source
+    /// automaton; its accept metadata is copied — it is small. Every
+    /// invariant a scan loop relies on is checked first (see
+    /// [`ArtifactTables`]), so a bit-flipped buffer fails closed with a
+    /// reason instead of panicking mid-match, and the sink and accepting
+    /// bitmaps are derived from the validated tables, never read from the
+    /// artifact.
+    pub fn from_artifact(tables: ArtifactTables, dfa: &Dfa) -> Result<DSfa, String> {
+        tables.validate(dfa)?;
+        let ArtifactTables { data, repr, num_states, table, byte_table, mappings } = tables;
+        Ok(DSfa::assemble(
+            TableBuf::Shared(data),
+            repr,
+            num_states,
+            table,
+            byte_table,
+            mappings,
+            dfa,
+        ))
+    }
+
+    /// Derives the sink and accepting bitmaps from the tables and copies
+    /// the source DFA's accept metadata.
+    fn assemble(
+        buf: TableBuf,
+        repr: StateIdRepr,
+        num_states: usize,
+        table: Range<usize>,
+        byte_table: Option<Range<usize>>,
+        mappings: Range<usize>,
+        dfa: &Dfa,
+    ) -> DSfa {
+        let (stride, d, dfa_start) = (dfa.num_classes(), dfa.num_states(), dfa.start());
+        let rows = &buf.bytes()[table.clone()];
+        let sink = (0..num_states)
+            .map(|s| (0..stride).all(|c| read_repr(rows, repr, s * stride + c) as usize == s))
+            .collect();
+        let maps = &buf.bytes()[mappings.clone()];
+        let accepting = (0..num_states)
+            .map(|s| dfa.is_accepting(ids::<4>(maps)[s * d + dfa_start as usize].unpack()))
+            .collect();
+        DSfa {
+            classes: dfa.classes().clone(),
             stride,
             repr,
-            table: PackedIds::pack(&table, repr),
+            num_states,
+            buf,
+            table,
             byte_table,
+            mappings,
             sink,
             accepting,
-            mappings,
             state_index: OnceLock::new(),
             #[cfg(feature = "simd")]
             simd: OnceLock::new(),
             dfa_start,
-            dfa_accepting: dfa.accepting().to_vec(),
+            dfa_accepting: dfa.accepting().into(),
             pattern_count: dfa.pattern_count(),
-            dfa_accept_index: dfa.accept_indices().to_vec(),
+            dfa_accept_index: dfa.accept_indices().into(),
             dfa_accept_sets: dfa.distinct_accept_sets().to_vec(),
-        })
+        }
     }
 
     /// Convenience: pattern → NFA → DFA → minimal DFA → D-SFA with default
@@ -451,10 +479,45 @@ impl DSfa {
         DSfa::from_dfa(&dfa, &SfaConfig::default())
     }
 
+    /// The class-compressed rows.
+    #[inline]
+    fn rows(&self) -> &[u8] {
+        &self.buf.bytes()[self.table.clone()]
+    }
+
+    /// The premultiplied byte table, when built.
+    #[inline]
+    fn dense(&self) -> Option<&[u8]> {
+        let range = self.byte_table.as_ref()?;
+        Some(&self.buf.bytes()[range.clone()])
+    }
+
+    /// The mapping rows.
+    #[inline]
+    fn maps(&self) -> &[u8] {
+        &self.buf.bytes()[self.mappings.clone()]
+    }
+
+    /// The three tables as little-endian bytes in the
+    /// [artifact layout](crate::table) — what an encoder writes out.
+    pub fn raw_tables(&self) -> RawTables<'_> {
+        RawTables { class_rows: self.rows(), byte_table: self.dense(), mappings: self.maps() }
+    }
+
+    /// Size of the artifact buffer the tables are borrowed from, when
+    /// this automaton was loaded by [`from_artifact`](DSfa::from_artifact)
+    /// (`None` for a compiled automaton, which owns its tables).
+    pub fn artifact_bytes(&self) -> Option<usize> {
+        match &self.buf {
+            TableBuf::Owned(_) => None,
+            TableBuf::Shared(data) => Some((**data).as_ref().len()),
+        }
+    }
+
     /// Number of SFA states (`|S_d|` in the paper).
     #[inline]
     pub fn num_states(&self) -> usize {
-        self.mappings.len()
+        self.num_states
     }
 
     /// Number of states of the source DFA.
@@ -523,28 +586,35 @@ impl DSfa {
     /// interned-set index.
     #[inline]
     pub fn accepting_patterns(&self, state: SfaStateId) -> &PatternSet {
-        self.dfa_accepting_patterns(self.mappings[state as usize].apply(self.dfa_start))
+        self.dfa_accepting_patterns(self.apply(state, self.dfa_start))
     }
 
-    /// The mapping (transformation) carried by an SFA state.
+    /// Applies the mapping carried by `state` to one DFA state: `f(q)`,
+    /// one table load and no allocation.
     #[inline]
-    pub fn mapping(&self, state: SfaStateId) -> &Transformation {
-        &self.mappings[state as usize]
+    pub fn apply(&self, state: SfaStateId, q: StateId) -> StateId {
+        ids::<4>(self.maps())[state as usize * self.num_dfa_states() + q as usize].unpack()
+    }
+
+    /// The mapping (transformation) carried by an SFA state, copied out
+    /// of the table (`O(|D|)`; [`apply`](DSfa::apply) reads one entry).
+    pub fn mapping(&self, state: SfaStateId) -> Transformation {
+        let d = self.num_dfa_states();
+        Transformation::from_vec((0..d as StateId).map(|q| self.apply(state, q)).collect())
     }
 
     /// Transition on a byte class.
     #[inline]
     pub fn next_by_class(&self, state: SfaStateId, class: u16) -> SfaStateId {
-        self.table.get(state as usize * self.stride + class as usize)
+        read_repr(self.rows(), self.repr, state as usize * self.stride + class as usize)
     }
 
     /// Transition on a byte — one table lookup, exactly like the DFA.
     #[inline]
     pub fn next_state(&self, state: SfaStateId, byte: u8) -> SfaStateId {
-        if let Some(bt) = &self.byte_table {
-            bt.get(state as usize * 256 + byte as usize)
-        } else {
-            self.next_by_class(state, self.classes.class_of(byte))
+        match self.dense() {
+            Some(t) => read_repr(t, self.repr, state as usize * 256 + byte as usize),
+            None => self.next_by_class(state, self.classes.class_of(byte)),
         }
     }
 
@@ -632,21 +702,19 @@ impl DSfa {
     fn scan_scalar(&self, state: SfaStateId, input: &[u8]) -> SfaStateId {
         // One match on (table kind × packed width) per *call*; each arm is
         // a monomorphized loop whose loads are the packed width.
-        match &self.byte_table {
-            Some(PackedIds::U8(t)) => scan_dense(t, &self.sink, state, input),
-            Some(PackedIds::U16(t)) => scan_dense(t, &self.sink, state, input),
-            Some(PackedIds::U32(t)) => scan_dense(t, &self.sink, state, input),
-            None => match &self.table {
-                PackedIds::U8(t) => {
-                    scan_classes(t, &self.classes, self.stride, &self.sink, state, input)
+        let sink = &self.sink;
+        match (self.dense(), self.repr) {
+            (Some(t), StateIdRepr::U8) => scan_dense(ids::<1>(t), sink, state, input),
+            (Some(t), StateIdRepr::U16) => scan_dense(ids::<2>(t), sink, state, input),
+            (Some(t), StateIdRepr::U32) => scan_dense(ids::<4>(t), sink, state, input),
+            (None, repr) => {
+                let (t, c, s) = (self.rows(), &self.classes, self.stride);
+                match repr {
+                    StateIdRepr::U8 => scan_classes(ids::<1>(t), c, s, sink, state, input),
+                    StateIdRepr::U16 => scan_classes(ids::<2>(t), c, s, sink, state, input),
+                    StateIdRepr::U32 => scan_classes(ids::<4>(t), c, s, sink, state, input),
                 }
-                PackedIds::U16(t) => {
-                    scan_classes(t, &self.classes, self.stride, &self.sink, state, input)
-                }
-                PackedIds::U32(t) => {
-                    scan_classes(t, &self.classes, self.stride, &self.sink, state, input)
-                }
-            },
+            }
         }
     }
 
@@ -684,7 +752,7 @@ impl DSfa {
     /// identical results.
     pub fn run_from_many_scalar(&self, jobs: &[(SfaStateId, &[u8])]) -> Vec<SfaStateId> {
         let mut out = Vec::with_capacity(jobs.len());
-        let Some(bt) = &self.byte_table else {
+        let Some(t) = self.dense() else {
             out.extend(jobs.iter().map(|&(s, input)| self.run_from_scalar(s, input)));
             return out;
         };
@@ -693,10 +761,10 @@ impl DSfa {
             let mut f = [group[0].0, group[1].0, group[2].0, group[3].0];
             let inputs = [group[0].1, group[1].1, group[2].1, group[3].1];
             let common = inputs.iter().map(|s| s.len()).min().unwrap_or(0);
-            match bt {
-                PackedIds::U8(t) => scan_dense_lanes(t, &mut f, &inputs, common),
-                PackedIds::U16(t) => scan_dense_lanes(t, &mut f, &inputs, common),
-                PackedIds::U32(t) => scan_dense_lanes(t, &mut f, &inputs, common),
+            match self.repr {
+                StateIdRepr::U8 => scan_dense_lanes(ids::<1>(t), &mut f, &inputs, common),
+                StateIdRepr::U16 => scan_dense_lanes(ids::<2>(t), &mut f, &inputs, common),
+                StateIdRepr::U32 => scan_dense_lanes(ids::<4>(t), &mut f, &inputs, common),
             }
             for (lane, input) in inputs.iter().enumerate() {
                 out.push(self.run_from_scalar(f[lane], &input[common..]));
@@ -728,9 +796,8 @@ impl DSfa {
                     },
                 )
                 .collect(),
-            simd::SimdKernels::Gather(k) => {
-                let bt =
-                    self.byte_table.as_ref().expect("gather kernel implies a premultiplied table");
+            simd::SimdKernels::Gather => {
+                let table = self.dense_with_tail().expect("gather kernel implies a byte table");
                 let mut out = Vec::with_capacity(jobs.len());
                 let mut groups = jobs.chunks_exact(simd::GATHER_LANES);
                 for group in groups.by_ref() {
@@ -741,7 +808,13 @@ impl DSfa {
                         inputs[lane] = input;
                     }
                     let common = inputs.iter().map(|s| s.len()).min().unwrap_or(0);
-                    k.run_lanes(bt, &self.sink, &mut f, &inputs, common);
+                    // SAFETY: every byte-table entry is a valid state id:
+                    // `from_dfa` writes only interned ids and
+                    // `from_artifact` validates every entry.
+                    #[allow(unsafe_code)]
+                    unsafe {
+                        simd::gather_lanes(self.repr, table, &self.sink, &mut f, &inputs, common)
+                    };
                     for (lane, input) in inputs.iter().enumerate() {
                         out.push(self.run_from_scalar(f[lane], &input[common..]));
                     }
@@ -754,13 +827,27 @@ impl DSfa {
         }
     }
 
+    /// The byte table followed by the rest of the buffer: the gather
+    /// kernel reads a whole dword per lookup, so a narrow table's last
+    /// entries read a few bytes past its end — into the three zero bytes
+    /// after a compiled table, or the mapping rows after a loaded one
+    /// (see [`simd::gather_lanes`]).
+    #[cfg(feature = "simd")]
+    #[inline]
+    fn dense_with_tail(&self) -> Option<&[u8]> {
+        let range = self.byte_table.as_ref()?;
+        Some(&self.buf.bytes()[range.start..])
+    }
+
     /// The lazily built SIMD kernels for this automaton (`None` when the
     /// scalar loops are the only applicable path).
     #[cfg(feature = "simd")]
     #[inline]
     fn simd_kernels(&self) -> Option<&simd::SimdKernels> {
         self.simd
-            .get_or_init(|| simd::SimdKernels::build(&self.byte_table, self.num_states()))
+            .get_or_init(|| {
+                simd::SimdKernels::build(self.repr, self.dense_with_tail(), self.num_states)
+            })
             .as_ref()
     }
 
@@ -774,7 +861,7 @@ impl DSfa {
     pub fn scan_kernel(&self) -> &'static str {
         #[cfg(feature = "simd")]
         {
-            simd::kernel_name(&self.byte_table, self.num_states())
+            simd::kernel_name(self.repr, self.dense_with_tail(), self.num_states)
         }
         #[cfg(not(feature = "simd"))]
         {
@@ -826,7 +913,8 @@ impl DSfa {
     /// Composes the mappings of two SFA states: if `a = f_w` and `b = f_v`,
     /// the result is `f_wv`. This is the `⋄` operator of the reduction step.
     pub fn compose(&self, a: SfaStateId, b: SfaStateId) -> Transformation {
-        self.mapping(a).then(self.mapping(b))
+        let d = self.num_dfa_states() as StateId;
+        Transformation::from_vec((0..d).map(|q| self.apply(b, self.apply(a, q))).collect())
     }
 
     /// Composes two SFA states *as states*: the state whose mapping is
@@ -851,47 +939,57 @@ impl DSfa {
         if b == self.initial() || self.is_sink(a) {
             return a;
         }
-        let composed = self.compose(a, b);
-        *self
-            .state_index()
-            .get(&composed)
-            .expect("SFA states are closed under composition (Lemma 1)")
+        // Row `a` mapped through row `b`, entry by entry: the composite's
+        // row, already in the table's byte form.
+        let (maps, d) = (ids::<4>(self.maps()), self.num_dfa_states());
+        let fb = &maps[b as usize * d..][..d];
+        let row: Vec<[u8; 4]> =
+            maps[a as usize * d..][..d].iter().map(|q| fb[q.unpack() as usize]).collect();
+        self.find_state(&row).expect("SFA states are closed under composition (Lemma 1)")
     }
 
     /// Looks up the SFA state corresponding to a transformation, if that
     /// transformation is reachable (i.e. is an actual SFA state).
     ///
-    /// The first call builds a mapping → id hash index (costing about as
-    /// much memory as the mappings themselves); subsequent calls are one
-    /// hash lookup.
+    /// The first call builds an index of mapping-row hashes (about 20
+    /// bytes per state); subsequent calls are one hash lookup plus a row
+    /// comparison.
     pub fn state_of(&self, mapping: &Transformation) -> Option<SfaStateId> {
-        self.state_index().get(mapping).copied()
+        if mapping.degree() != self.num_dfa_states() {
+            return None;
+        }
+        let row: Vec<[u8; 4]> = mapping.as_slice().iter().map(|q| q.to_le_bytes()).collect();
+        self.find_state(&row)
     }
 
-    /// The lazily built mapping → state-id index backing
-    /// [`state_of`](DSfa::state_of) and
-    /// [`compose_states`](DSfa::compose_states).
-    fn state_index(&self) -> &HashMap<Transformation, SfaStateId> {
-        self.state_index.get_or_init(|| {
-            self.mappings.iter().enumerate().map(|(i, m)| (m.clone(), i as SfaStateId)).collect()
-        })
+    /// The state whose mapping row is `row`, found through the hash index.
+    fn find_state(&self, row: &[[u8; 4]]) -> Option<SfaStateId> {
+        let (maps, d) = (ids::<4>(self.maps()), row.len());
+        let index = self.state_index.get_or_init(|| {
+            let mut index = RowIndex::default();
+            for (s, row) in self.maps().chunks_exact(4 * d).enumerate() {
+                index.insert(index.hash(row), s as SfaStateId);
+            }
+            index
+        });
+        index.find(index.hash(row.as_flattened()), |s| maps[s as usize * d..][..d] == *row)
     }
 
     /// Bytes occupied by the (class-compressed) transition table, at the
     /// packed width.
     pub fn table_bytes(&self) -> usize {
-        self.table.bytes()
+        self.table.len()
     }
 
     /// Bytes occupied by the premultiplied dense byte table at the packed
     /// width (0 when it was not built).
     pub fn byte_table_bytes(&self) -> usize {
-        self.byte_table.as_ref().map_or(0, |t| t.bytes())
+        self.byte_table.as_ref().map_or(0, Range::len)
     }
 
     /// Bytes occupied by the state mappings (needed by the reduction step).
     pub fn mapping_bytes(&self) -> usize {
-        self.mappings.iter().map(|m| m.heap_bytes()).sum()
+        self.mappings.len()
     }
 
     /// Re-interprets the SFA as a plain DFA over the same byte classes
@@ -899,10 +997,11 @@ impl DSfa {
     /// packed rows are widened back to the automata layer's `u32` ids at
     /// this boundary.
     pub fn as_dfa(&self) -> Dfa {
+        let rows = (0..self.num_states * self.stride).map(|i| read_repr(self.rows(), self.repr, i));
         Dfa::from_parts(
             self.classes.clone(),
-            self.table.unpack(),
-            self.accepting.clone(),
+            rows.collect(),
+            self.accepting.to_vec(),
             self.initial(),
         )
     }
@@ -1007,7 +1106,7 @@ mod tests {
         whole.extend_from_slice(w2);
         let f12 = sfa.run(&whole);
         // Lemma 1: f_{w1} ⋄ f_{w2} = f_{w1 w2}.
-        assert_eq!(&sfa.compose(f1, f2), sfa.mapping(f12));
+        assert_eq!(sfa.compose(f1, f2), sfa.mapping(f12));
         assert_eq!(sfa.state_of(&sfa.compose(f1, f2)), Some(f12));
     }
 
@@ -1372,6 +1471,74 @@ mod tests {
         {
             assert_eq!(small.scan_kernel(), "scalar");
             assert_eq!(small.preferred_lanes(), INTERLEAVE_LANES);
+        }
+    }
+    /// Rows that share a hash are told apart by comparing them: every
+    /// row below is indexed under one hash and each is still found.
+    #[test]
+    fn row_index_resolves_hash_collisions_by_comparison() {
+        let rows: [&[u8]; 3] = [b"aaaa", b"bbbb", b"cccc"];
+        let mut index = RowIndex::default();
+        for s in 0..rows.len() as SfaStateId {
+            index.insert(7, s);
+        }
+        for (s, row) in rows.iter().enumerate() {
+            assert_eq!(index.find(7, |t| rows[t as usize] == *row), Some(s as SfaStateId));
+        }
+        assert_eq!(index.find(7, |t| rows[t as usize] == b"dddd"), None);
+        assert_eq!(index.find(8, |_| true), None);
+        assert_eq!(index.hash(b"aaaa"), index.hash(b"aaaa"));
+    }
+
+    /// An automaton loaded from its own tables is the compiled automaton:
+    /// same states, verdicts, mappings, composition, kernel and lanes —
+    /// the zero-copy load changes where the bytes live, nothing else.
+    #[test]
+    fn loaded_automata_agree_with_compiled() {
+        for premultiply in [true, false] {
+            for pattern in ["(ab)*", "(a|b)*abb", "([0-4]{2}[5-9]{2})*", "a{2,4}b{1,3}"] {
+                let dfa = minimal_dfa_from_pattern(pattern).unwrap();
+                let cfg = SfaConfig { premultiply, ..SfaConfig::default() };
+                let sfa = DSfa::from_dfa(&dfa, &cfg).unwrap();
+                let tables = ArtifactTables::copy_of(&sfa);
+                let artifact_len = (*tables.data).as_ref().len();
+                let loaded = DSfa::from_artifact(tables, &dfa).unwrap();
+                assert_eq!(sfa.artifact_bytes(), None);
+                assert_eq!(loaded.artifact_bytes(), Some(artifact_len));
+                assert_eq!(loaded.num_states(), sfa.num_states());
+                assert_eq!(loaded.premultiplied(), sfa.premultiplied());
+                assert_eq!(loaded.repr(), sfa.repr());
+                assert_eq!(loaded.scan_kernel(), sfa.scan_kernel(), "{pattern}");
+                assert_eq!(loaded.preferred_lanes(), sfa.preferred_lanes(), "{pattern}");
+                assert_eq!(
+                    (loaded.table_bytes(), loaded.byte_table_bytes(), loaded.mapping_bytes()),
+                    (sfa.table_bytes(), sfa.byte_table_bytes(), sfa.mapping_bytes())
+                );
+                for s in 0..sfa.num_states() as SfaStateId {
+                    assert_eq!(loaded.is_sink(s), sfa.is_sink(s), "sink {s}");
+                    assert_eq!(loaded.is_accepting(s), sfa.is_accepting(s), "accepting {s}");
+                    assert_eq!(loaded.accepting_patterns(s), sfa.accepting_patterns(s));
+                    assert_eq!(loaded.mapping(s), sfa.mapping(s));
+                }
+                let inputs = [&b""[..], b"ab", b"abab", b"abb", b"0055", b"aabbb", b"zzz"];
+                for input in inputs {
+                    let f = sfa.run(input);
+                    assert_eq!(
+                        loaded.run(input),
+                        f,
+                        "{pattern} {input:?} premultiply={premultiply}"
+                    );
+                    assert_eq!(loaded.accepts(input), dfa.accepts(input));
+                }
+                let long = b"ab0055".repeat(100);
+                let jobs: Vec<(SfaStateId, &[u8])> =
+                    (0..11).map(|i| (sfa.initial(), &long[i * 7..])).collect();
+                assert_eq!(loaded.run_from_many(&jobs), sfa.run_from_many(&jobs));
+                let (a, b) = (sfa.run(b"ab"), sfa.run(b"ba"));
+                assert_eq!(loaded.compose_states(a, b), sfa.compose_states(a, b));
+                assert_eq!(loaded.state_of(&sfa.mapping(a)), Some(a));
+                assert!(equivalent(&dfa, &loaded.as_dfa()), "{pattern}");
+            }
         }
     }
 }

@@ -17,11 +17,11 @@
 //! * [`mapping::Transformation`] / [`mapping::Correspondence`] — the state
 //!   mappings and their associative composition (`⋄`),
 //! * [`DSfa`] — the SFA built from a DFA via the correspondence
-//!   construction (Algorithm 4), plus [`LazyDSfa`] for on-the-fly
-//!   construction (Section V-A),
+//!   construction (Algorithm 4), or loaded zero-copy from an artifact
+//!   buffer in the same [table layout](table), plus [`LazyDSfa`] for
+//!   on-the-fly construction (Section V-A),
 //! * [`SfaBackend`] — the pluggable-backend abstraction the matcher layer
-//!   runs on: eager, lazy or borrowed-from-an-artifact behind one surface
-//!   (see [`borrowed::LoadedSfa`]),
+//!   runs on: eager or lazy behind one surface,
 //! * [`NSfa`] — the SFA built directly from an NFA,
 //! * [`stats`] — the size reports behind Figure 3 of the paper.
 //!
@@ -55,7 +55,6 @@
 #![cfg_attr(feature = "simd", deny(unsafe_code))]
 
 pub mod backend;
-pub mod borrowed;
 pub mod dsfa;
 pub mod lazy;
 pub mod mapping;
@@ -63,14 +62,15 @@ pub mod nsfa;
 #[cfg(feature = "simd")]
 pub(crate) mod simd;
 pub mod stats;
+pub mod table;
 
 pub use backend::{BackendKind, SfaBackend};
-pub use borrowed::{ArtifactBytes, LoadedSfa, LoadedSfaParts};
 pub use dsfa::{DSfa, SfaStateId, StateIdRepr};
 pub use lazy::LazyDSfa;
 pub use mapping::{Correspondence, Transformation};
 pub use nsfa::NSfa;
 pub use stats::{GrowthClass, SizeReport};
+pub use table::{ArtifactBytes, ArtifactTables, RawTables};
 
 /// Configuration of the correspondence construction (Algorithm 4).
 #[derive(Clone, Debug)]
@@ -189,7 +189,7 @@ mod proptests {
             let f1 = sfa.run(w1);
             let f2 = sfa.run(w2);
             let whole = sfa.run(bytes);
-            prop_assert_eq!(&sfa.compose(f1, f2), sfa.mapping(whole));
+            prop_assert_eq!(sfa.compose(f1, f2), sfa.mapping(whole));
             // The composed mapping decides acceptance identically to the
             // sequential DFA run.
             let accept_via_composition =

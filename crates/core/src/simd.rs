@@ -19,12 +19,12 @@
 //! Kernels are built lazily on first use (see `DSfa::run_from`) and only
 //! when the CPU supports them — the scalar loops in `dsfa` remain the
 //! mandatory fallback and the semantic reference: every kernel returns
-//! exactly the state the scalar scan would. Narrow gather tables are
-//! *copied* with a few zero bytes of tail padding because `vpgatherdd`
-//! always reads a 4-byte dword per lane; the automaton's own tables are
-//! never touched, so size reports stay exact.
+//! exactly the state the scalar scan would. The gather kernel reads the
+//! automaton's byte table in place, whether the automaton owns it or
+//! borrows it from an artifact (see [`crate::table`]); the shuffle kernel
+//! works from a 4 KiB transposed copy.
 
-use crate::dsfa::{PackedIds, SfaStateId};
+use crate::dsfa::{SfaStateId, StateIdRepr};
 
 /// Lanes advanced per gather iteration (one AVX2 register of `i32` ids).
 pub(crate) const GATHER_LANES: usize = 8;
@@ -44,31 +44,52 @@ const SINK_CHECK_BYTES: usize = 512;
 pub(crate) enum SimdKernels {
     /// 16-state `pshufb` kernel over a column-major table copy.
     Shuffle(ShuffleKernel),
-    /// Multi-lane `vpgatherdd` kernel over the premultiplied table.
-    Gather(GatherKernel),
+    /// Multi-lane `vpgatherdd` kernel over the byte table itself (see
+    /// [`gather_lanes`]).
+    Gather,
+}
+
+/// Whether [`gather_lanes`] may run on `table`: a dword gather of the
+/// last entry reads `4 - width` bytes past the table's end, so the slice
+/// (the byte table followed by the rest of its buffer) must extend that
+/// far.
+fn gather_fits(repr: StateIdRepr, table: &[u8], num_states: usize) -> bool {
+    let w = repr.bytes();
+    table.len() >= num_states * 256 * w + (4 - w)
 }
 
 /// Which kernel [`SimdKernels::build`] would select for this table shape
 /// on this CPU: `"shuffle"`, `"gather"` or `"scalar"`. Pure
 /// classification — no tables are copied — so size reporting can name the
-/// kernel without paying for it.
-pub(crate) fn kernel_name(byte_table: &Option<PackedIds>, num_states: usize) -> &'static str {
+/// kernel without paying for it. `dense` is the premultiplied byte table
+/// followed by the rest of its buffer, `None` without one.
+pub(crate) fn kernel_name(
+    repr: StateIdRepr,
+    dense: Option<&[u8]>,
+    num_states: usize,
+) -> &'static str {
     #[cfg(target_arch = "x86_64")]
     {
-        match byte_table {
-            Some(PackedIds::U8(_))
-                if num_states <= SHUFFLE_MAX_STATES
+        match dense {
+            Some(_)
+                if repr == StateIdRepr::U8
+                    && num_states <= SHUFFLE_MAX_STATES
                     && std::arch::is_x86_feature_detected!("ssse3") =>
             {
                 "shuffle"
             }
-            Some(_) if std::arch::is_x86_feature_detected!("avx2") => "gather",
+            Some(t)
+                if gather_fits(repr, t, num_states)
+                    && std::arch::is_x86_feature_detected!("avx2") =>
+            {
+                "gather"
+            }
             _ => "scalar",
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
-        let _ = (byte_table, num_states);
+        let _ = (repr, dense, num_states);
         "scalar"
     }
 }
@@ -77,12 +98,14 @@ impl SimdKernels {
     /// Builds the kernel [`kernel_name`] names, or `None` when only the
     /// scalar loops apply (no premultiplied table, unsupported CPU, or a
     /// non-x86_64 target).
-    pub(crate) fn build(byte_table: &Option<PackedIds>, num_states: usize) -> Option<SimdKernels> {
-        match (byte_table, kernel_name(byte_table, num_states)) {
-            (Some(PackedIds::U8(t)), "shuffle") => {
-                Some(SimdKernels::Shuffle(ShuffleKernel::build(t, num_states)))
-            }
-            (Some(bt), "gather") => Some(SimdKernels::Gather(GatherKernel::build(bt))),
+    pub(crate) fn build(
+        repr: StateIdRepr,
+        dense: Option<&[u8]>,
+        num_states: usize,
+    ) -> Option<SimdKernels> {
+        match (dense, kernel_name(repr, dense, num_states)) {
+            (Some(t), "shuffle") => Some(SimdKernels::Shuffle(ShuffleKernel::build(t, num_states))),
+            (Some(_), "gather") => Some(SimdKernels::Gather),
             _ => None,
         }
     }
@@ -169,150 +192,118 @@ impl ShuffleKernel {
     }
 }
 
-/// The AVX2 gather kernel. Narrow widths hold a tail-padded copy of the
-/// premultiplied table (a gather reads a whole dword per lane, so the
-/// last `u8`/`u16` entry needs 3 / 2 trailing bytes of slack); the `u32`
-/// width gathers straight from the automaton's own table, whose last
-/// entry already spans a full dword.
-#[derive(Clone, Debug)]
-pub(crate) enum GatherKernel {
-    /// Padded copy of a `u8` table (`+3` zero bytes).
-    U8(Box<[u8]>),
-    /// Padded copy of a `u16` table (`+1` zero element).
-    U16(Box<[u16]>),
-    /// No copy: gathers from the `u32` table passed at call time.
-    U32,
-}
-
-impl GatherKernel {
-    fn build(byte_table: &PackedIds) -> GatherKernel {
-        match byte_table {
-            PackedIds::U8(t) => {
-                let mut padded = t.to_vec();
-                padded.extend_from_slice(&[0; 3]);
-                GatherKernel::U8(padded.into_boxed_slice())
-            }
-            PackedIds::U16(t) => {
-                let mut padded = t.to_vec();
-                padded.push(0);
-                GatherKernel::U16(padded.into_boxed_slice())
-            }
-            PackedIds::U32(_) => GatherKernel::U32,
-        }
-    }
-
-    /// Advances all [`GATHER_LANES`] lanes over the first `common` bytes
-    /// of their inputs, exactly like the scalar `scan_dense_lanes` (no
-    /// per-byte sink branch; every [`SINK_CHECK_BYTES`] the kernel stops
-    /// early if *all* lanes sit in sinks). `byte_table` must be the table
-    /// this kernel was built from.
-    pub(crate) fn run_lanes(
-        &self,
-        byte_table: &PackedIds,
-        sink: &[bool],
-        f: &mut [SfaStateId; GATHER_LANES],
-        inputs: &[&[u8]; GATHER_LANES],
-        common: usize,
-    ) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            // SAFETY: the kernel is only built after
-            // `is_x86_feature_detected!` confirmed AVX2, and the table
-            // padding invariants are established in `build`.
-            #[allow(unsafe_code)]
-            unsafe {
-                match (self, byte_table) {
-                    (GatherKernel::U8(t), _) => gather_u8(t, sink, f, inputs, common),
-                    (GatherKernel::U16(t), _) => gather_u16(t, sink, f, inputs, common),
-                    (GatherKernel::U32, PackedIds::U32(t)) => {
-                        gather_u32(t, sink, f, inputs, common)
-                    }
-                    (GatherKernel::U32, _) => {
-                        unreachable!("u32 gather kernel is built for a u32 table")
-                    }
-                }
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            let _ = (byte_table, sink, f, inputs, common);
-            unreachable!("gather kernel is only built on x86_64")
-        }
-    }
-}
-
-/// Generates one monomorphic gather loop per table width. `$mask` is the
-/// entry-width bitmask stripping the neighboring table bytes a dword
-/// gather drags in (`0` for the full-width `u32` table, where the branch
-/// folds away).
-#[cfg(target_arch = "x86_64")]
-macro_rules! gather_impl {
-    ($name:ident, $elem:ty, $scale:literal, $mask:literal) => {
-        /// # Safety
-        /// Caller detected AVX2 at runtime. Every gathered index is
-        /// `state * 256 + byte` with `state` a valid id, so with the
-        /// padding established in [`GatherKernel::build`] each dword read
-        /// stays inside `table`.
-        #[target_feature(enable = "avx2")]
+/// The AVX2 gather kernel: advances all [`GATHER_LANES`] lanes over the
+/// first `common` bytes of their inputs, exactly like the scalar
+/// `scan_dense_lanes` (no per-byte sink branch; every
+/// [`SINK_CHECK_BYTES`] the kernel stops early if *all* lanes sit in
+/// sinks).
+///
+/// `table` is the premultiplied byte table at width `repr`, followed by
+/// the rest of its buffer; `sink` has one entry per state. The lookups
+/// gather straight from `table`: a dword read at `table + index × width`
+/// whose upper bytes are masked off for the narrow widths.
+///
+/// # Safety
+/// Every entry of the byte table must be a valid state id (less than
+/// `sink.len()`), so each gathered index stays inside the table.
+/// [`DSfa`](crate::DSfa) guarantees it by construction for compiled tables
+/// and by validation for loaded ones. The start states and the table's
+/// length are checked here.
+#[allow(unsafe_code)]
+pub(crate) unsafe fn gather_lanes(
+    repr: StateIdRepr,
+    table: &[u8],
+    sink: &[bool],
+    f: &mut [SfaStateId; GATHER_LANES],
+    inputs: &[&[u8]; GATHER_LANES],
+    common: usize,
+) {
+    // The bounds every gathered dword relies on: start states are valid
+    // ids, and the table (plus tail) covers the last entry's dword.
+    assert!(gather_fits(repr, table, sink.len()), "gather table is missing its tail");
+    assert!(f.iter().all(|&s| (s as usize) < sink.len()), "gather start state out of range");
+    #[cfg(target_arch = "x86_64")]
+    {
+        // SAFETY: the kernel is only selected after
+        // `is_x86_feature_detected!` confirmed AVX2; the assertions above
+        // and the caller's valid table entries bound every gathered
+        // address (see `gather`).
         #[allow(unsafe_code)]
-        unsafe fn $name(
-            table: &[$elem],
-            sink: &[bool],
-            f: &mut [SfaStateId; GATHER_LANES],
-            inputs: &[&[u8]; GATHER_LANES],
-            common: usize,
-        ) {
-            use std::arch::x86_64::*;
-            let base = table.as_ptr() as *const i32;
-            #[allow(clippy::cast_possible_wrap)]
-            let mut states = _mm256_set_epi32(
-                f[7] as i32,
-                f[6] as i32,
-                f[5] as i32,
-                f[4] as i32,
-                f[3] as i32,
-                f[2] as i32,
-                f[1] as i32,
-                f[0] as i32,
-            );
-            let mut j = 0;
-            while j < common {
-                let stop = (j + SINK_CHECK_BYTES).min(common);
-                while j < stop {
-                    let bytes = _mm256_set_epi32(
-                        inputs[7][j] as i32,
-                        inputs[6][j] as i32,
-                        inputs[5][j] as i32,
-                        inputs[4][j] as i32,
-                        inputs[3][j] as i32,
-                        inputs[2][j] as i32,
-                        inputs[1][j] as i32,
-                        inputs[0][j] as i32,
-                    );
-                    let idx = _mm256_add_epi32(_mm256_slli_epi32::<8>(states), bytes);
-                    let g = _mm256_i32gather_epi32::<$scale>(base, idx);
-                    states =
-                        if $mask != 0 { _mm256_and_si256(g, _mm256_set1_epi32($mask)) } else { g };
-                    j += 1;
-                }
-                let mut ids = [0i32; GATHER_LANES];
-                _mm256_storeu_si256(ids.as_mut_ptr() as *mut __m256i, states);
-                for (lane, &id) in ids.iter().enumerate() {
-                    f[lane] = id as SfaStateId;
-                }
-                // All lanes in sinks: no further byte can move any of
-                // them, so the remaining `common - j` bytes are no-ops.
-                if f.iter().all(|&s| sink[s as usize]) {
-                    return;
-                }
+        unsafe {
+            match repr {
+                StateIdRepr::U8 => gather::<1>(table, sink, f, inputs, common),
+                StateIdRepr::U16 => gather::<2>(table, sink, f, inputs, common),
+                StateIdRepr::U32 => gather::<4>(table, sink, f, inputs, common),
             }
         }
-    };
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = (inputs, common);
+        unreachable!("gather kernel is only built on x86_64")
+    }
 }
 
+/// One monomorphic gather loop per table width `SCALE` (bytes per entry).
+///
+/// # Safety
+/// Caller detected AVX2 at runtime and checked the bounds in
+/// [`gather_lanes`]. Every gathered index is `state * 256 + byte` with
+/// `state` a valid id, so each dword read starts inside the table and
+/// ends at most `4 - SCALE` bytes past it, inside `table`'s tail.
 #[cfg(target_arch = "x86_64")]
-gather_impl!(gather_u8, u8, 1, 0xFF);
-#[cfg(target_arch = "x86_64")]
-gather_impl!(gather_u16, u16, 2, 0xFFFF);
-#[cfg(target_arch = "x86_64")]
-gather_impl!(gather_u32, u32, 4, 0);
+#[target_feature(enable = "avx2")]
+#[allow(unsafe_code)]
+unsafe fn gather<const SCALE: i32>(
+    table: &[u8],
+    sink: &[bool],
+    f: &mut [SfaStateId; GATHER_LANES],
+    inputs: &[&[u8]; GATHER_LANES],
+    common: usize,
+) {
+    use std::arch::x86_64::*;
+    // Strips the neighboring table bytes a dword gather drags in for the
+    // narrow widths (all ones for `u32`).
+    let mask = _mm256_set1_epi32((u32::MAX >> (32 - 8 * SCALE)) as i32);
+    let base = table.as_ptr() as *const i32;
+    #[allow(clippy::cast_possible_wrap)]
+    let mut states = _mm256_set_epi32(
+        f[7] as i32,
+        f[6] as i32,
+        f[5] as i32,
+        f[4] as i32,
+        f[3] as i32,
+        f[2] as i32,
+        f[1] as i32,
+        f[0] as i32,
+    );
+    let mut j = 0;
+    while j < common {
+        let stop = (j + SINK_CHECK_BYTES).min(common);
+        while j < stop {
+            let bytes = _mm256_set_epi32(
+                inputs[7][j] as i32,
+                inputs[6][j] as i32,
+                inputs[5][j] as i32,
+                inputs[4][j] as i32,
+                inputs[3][j] as i32,
+                inputs[2][j] as i32,
+                inputs[1][j] as i32,
+                inputs[0][j] as i32,
+            );
+            let idx = _mm256_add_epi32(_mm256_slli_epi32::<8>(states), bytes);
+            states = _mm256_and_si256(_mm256_i32gather_epi32::<SCALE>(base, idx), mask);
+            j += 1;
+        }
+        let mut ids = [0i32; GATHER_LANES];
+        _mm256_storeu_si256(ids.as_mut_ptr() as *mut __m256i, states);
+        for (lane, &id) in ids.iter().enumerate() {
+            f[lane] = id as SfaStateId;
+        }
+        // All lanes in sinks: no further byte can move any of them, so
+        // the remaining `common - j` bytes are no-ops.
+        if f.iter().all(|&s| sink[s as usize]) {
+            return;
+        }
+    }
+}

@@ -481,8 +481,8 @@ impl Regex {
     ///
     /// Only eager backends serialize
     /// ([`Error::ArtifactRequiresEagerBackend`] otherwise): a lazy
-    /// backend has no complete table set, and a borrowed backend already
-    /// *is* an artifact.
+    /// backend has no complete table set. A regex loaded from an artifact
+    /// is eager and re-encodes to an equivalent artifact.
     ///
     /// ```
     /// use sfa_matcher::Regex;
@@ -518,10 +518,11 @@ impl Regex {
     }
 
     /// Reconstructs a regex from an artifact buffer **zero-copy**: the
-    /// big transition tables are borrowed from `data` (the
-    /// [`BackendKind::Borrowed`](sfa_core::BackendKind) backend), not
-    /// rebuilt and not copied, so cold start is a validation pass instead
-    /// of a compile. Corrupt or version-skewed artifacts fail closed with
+    /// big transition tables are borrowed from `data`, not rebuilt and
+    /// not copied, so cold start is a validation pass instead of a
+    /// compile. The result is an ordinary eager backend: it scans with
+    /// the same SIMD kernels and lanes as the regex that wrote the
+    /// artifact. Corrupt or version-skewed artifacts fail closed with
     /// the typed [`Error::ArtifactCorrupt`] /
     /// [`Error::ArtifactVersionMismatch`] variants.
     ///
@@ -563,7 +564,7 @@ impl Regex {
             engine: None,
             nfa_states: loaded.nfa_states as usize,
             dfa: loaded.dfa,
-            backend: SfaBackend::Borrowed(loaded.sfa),
+            backend: SfaBackend::Eager(loaded.sfa),
             collapsed_patterns: loaded.collapsed,
             decided,
             convergence: std::sync::OnceLock::new(),
@@ -699,7 +700,7 @@ impl Regex {
     fn run_sequential(&self, input: &[u8]) -> StateId {
         if let SfaBackend::Eager(sfa) = &self.backend {
             if sfa.premultiplied() && sfa.byte_table_bytes() <= Self::SEQ_BYTE_TABLE_MAX_BYTES {
-                return sfa.mapping(sfa.run(input)).apply(self.dfa.start());
+                return sfa.apply(sfa.run(input), self.dfa.start());
             }
         }
         self.dfa.run(input)

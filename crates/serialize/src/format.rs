@@ -16,14 +16,16 @@
 //!          convergence summary   (optional)
 //! ```
 //!
-//! Every section starts 8-byte aligned so the zero-copy loader can hand
-//! table ranges straight to [`sfa_core::LoadedSfa`]. All integers are
-//! little-endian. The checksum covers everything after the header, so a
+//! Every section starts 8-byte aligned. The three SFA sections are the
+//! automaton's own [table layout](sfa_core::table), copied out verbatim,
+//! so the zero-copy loader hands their ranges straight to
+//! [`DSfa::from_artifact`](sfa_core::DSfa::from_artifact). All integers
+//! are little-endian. The checksum covers everything after the header, so a
 //! bit flip anywhere in the tables is caught before parsing begins.
 
 use sfa_analysis::ConvergenceSummary;
 use sfa_automata::Dfa;
-use sfa_core::{DSfa, SfaStateId, StateIdRepr};
+use sfa_core::{DSfa, StateIdRepr};
 use std::io::{self, Write};
 
 /// The 8-byte magic opening every artifact.
@@ -187,7 +189,6 @@ impl ArtifactSource<'_> {
         let d = dfa.num_states();
         let stride = dfa.num_classes();
         let n = sfa.num_states();
-        let w = sfa.repr().bytes();
         debug_assert_eq!(self.decided_verdict.len(), d);
         debug_assert_eq!(self.decided_accept.len(), d);
 
@@ -238,35 +239,15 @@ impl ArtifactSource<'_> {
         put_bitmap(&mut out, self.decided_accept);
         align8(&mut out);
 
-        // SFA class rows at the packed width (borrowed on load).
-        let put_id = |out: &mut Vec<u8>, id: SfaStateId| {
-            out.extend_from_slice(&id.to_le_bytes()[..w]);
-        };
-        for s in 0..n as SfaStateId {
-            for c in 0..stride {
-                put_id(&mut out, sfa.next_by_class(s, c as u16));
-            }
-        }
-        align8(&mut out);
-
-        // Premultiplied byte table (borrowed on load).
-        if sfa.premultiplied() {
-            for s in 0..n as SfaStateId {
-                for b in 0..=255u8 {
-                    put_id(&mut out, sfa.next_state(s, b));
-                }
-            }
+        // SFA class rows and byte table at the packed width, then the
+        // |S| × |D| u32 state mappings — all borrowed on load.
+        let tables = sfa.raw_tables();
+        for section in
+            [Some(tables.class_rows), tables.byte_table, Some(tables.mappings)].iter().flatten()
+        {
+            out.extend_from_slice(section);
             align8(&mut out);
         }
-
-        // State mappings: |S| × |D| u32 DFA ids (borrowed on load).
-        for s in 0..n as SfaStateId {
-            let mapping = sfa.mapping(s);
-            for q in 0..d as u32 {
-                put_u32(&mut out, mapping.apply(q));
-            }
-        }
-        align8(&mut out);
 
         // Convergence summary.
         if let Some(summary) = self.convergence {

@@ -8,9 +8,10 @@
 //! with a **zero-copy** reader ([`load`]) that borrows the big transition
 //! tables straight out of the artifact buffer — typically an
 //! [`ArtifactFile`] memory mapping — instead of rebuilding or even
-//! copying them. The loaded automaton plugs into
-//! [`SfaBackend::Borrowed`](sfa_core::SfaBackend) and matches with the
-//! same verdicts as the original.
+//! copying them. The loaded automaton is an ordinary
+//! [`DSfa`](sfa_core::DSfa) whose tables live in the artifact buffer, so
+//! it matches with the same verdicts, scan kernels and lanes as the
+//! original.
 //!
 //! Corrupt input is a first-class case, not a panic: every load
 //! re-validates the structural invariants of both automata and fails
@@ -195,7 +196,7 @@ mod tests {
         let file = ArtifactFile::open(&path).unwrap();
         assert_eq!(file.as_ref(), &bytes[..]);
         let loaded = load_file(&path).unwrap();
-        assert_eq!(loaded.sfa.artifact_bytes(), bytes.len());
+        assert_eq!(loaded.sfa.artifact_bytes(), Some(bytes.len()));
         assert_eq!(
             loaded.sfa.table_bytes() + loaded.sfa.byte_table_bytes(),
             sfa.table_bytes() + sfa.byte_table_bytes()

@@ -4,15 +4,16 @@
 //! version-checked, the payload checksum is verified before any field is
 //! interpreted, every section read is range-checked against the buffer,
 //! and the reconstructed automata re-validate their structural invariants
-//! ([`Dfa::validate`] for the DFA, [`LoadedSfa::new`]'s table bounds
+//! ([`Dfa::validate`] for the DFA, [`DSfa::from_artifact`]'s table bounds
 //! checks for the SFA) before a [`LoadedArtifact`] is handed out. A
 //! truncated or bit-flipped file fails closed with
 //! [`ArtifactError::Corrupt`] naming the offending byte offset.
 //!
 //! The big tables — SFA class rows, the premultiplied byte table, the
 //! state mappings — are **not copied**: the loader records their byte
-//! ranges and hands the shared buffer to [`LoadedSfa`], so loading from
-//! an mmap touches only the small metadata pages plus one checksum sweep.
+//! ranges and hands the shared buffer to [`DSfa::from_artifact`], so
+//! loading from an mmap touches only the small metadata pages plus one
+//! checksum sweep.
 
 use crate::format::{
     checksum, repr_from_width, FLAG_COLLAPSED, FLAG_CONVERGENCE, FLAG_PREMULTIPLIED,
@@ -21,7 +22,7 @@ use crate::format::{
 use crate::ArtifactError;
 use sfa_analysis::ConvergenceSummary;
 use sfa_automata::{ByteClasses, Dfa, PatternSet};
-use sfa_core::{ArtifactBytes, LoadedSfa, LoadedSfaParts};
+use sfa_core::{ArtifactBytes, ArtifactTables, DSfa};
 use std::ops::Range;
 
 /// A fully parsed and validated artifact: the reconstructed source DFA
@@ -40,7 +41,7 @@ pub struct LoadedArtifact {
     /// The reconstructed source DFA (validated).
     pub dfa: Dfa,
     /// The SFA with its tables borrowed from the artifact buffer.
-    pub sfa: LoadedSfa,
+    pub sfa: DSfa,
     /// Per-DFA-state "verdict decided" bitmap.
     pub decided_verdict: Vec<bool>,
     /// Per-DFA-state "accept-set decided" bitmap.
@@ -298,7 +299,7 @@ pub fn load(data: ArtifactBytes) -> Result<LoadedArtifact, ArtifactError> {
     }
 
     // The SFA constructor bounds-checks every borrowed table entry.
-    let parts = LoadedSfaParts {
+    let tables = ArtifactTables {
         data: data.clone(),
         repr,
         num_states: num_sfa,
@@ -306,7 +307,7 @@ pub fn load(data: ArtifactBytes) -> Result<LoadedArtifact, ArtifactError> {
         byte_table,
         mappings,
     };
-    let sfa = LoadedSfa::new(parts, &dfa)
+    let sfa = DSfa::from_artifact(tables, &dfa)
         .map_err(|reason| ArtifactError::Corrupt { offset: sfa_at, reason })?;
 
     Ok(LoadedArtifact {

@@ -59,10 +59,18 @@ proptest! {
         std::fs::write(&path, &artifact).unwrap();
         let from_file = Regex::load_artifact(&path).unwrap();
 
-        for hay in salted_haystacks(seed) {
+        // The loaded automaton is the compiled one over borrowed tables:
+        // same kernel, same lanes, same Algorithm 5 verdicts.
+        prop_assert_eq!(from_file.sfa().scan_kernel(), re.sfa().scan_kernel());
+        prop_assert_eq!(from_file.sfa().preferred_lanes(), re.sfa().preferred_lanes());
+        let parallel = sfa::prelude::Strategy::Parallel { threads: 4, reduction: Reduction::Sequential };
+        let mut haystacks = salted_haystacks(seed);
+        haystacks.push(haystacks.concat().repeat(64));
+        for hay in haystacks {
             let want = re.is_match(&hay);
             prop_assert_eq!(from_memory.is_match(&hay), want);
             prop_assert_eq!(from_file.is_match(&hay), want);
+            prop_assert_eq!(from_file.run(&hay, parallel), re.run(&hay, sfa::prelude::Strategy::Sequential));
         }
         std::fs::remove_dir_all(&dir).ok();
     }
