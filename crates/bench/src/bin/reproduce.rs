@@ -1058,7 +1058,8 @@ fn server() {
     });
     // Algorithm 5 per haystack on every core, on the compiled and on the
     // artifact-loaded automaton: the path the scan kernel and lanes decide
-    // (batches of these small haystacks scan the DFA sequentially).
+    // inside one haystack (batches of these small haystacks instead scan
+    // groups of whole haystacks through the lanes, one per lane).
     let parallel = Strategy::Parallel { threads: num_cpus(), reduction: Reduction::Sequential };
     let scan_each = |re: &Regex| -> Vec<Vec<u32>> {
         flat.iter()

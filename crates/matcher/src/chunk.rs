@@ -106,38 +106,27 @@ where
 
 /// Packs consecutive items into groups bounded by total size: each
 /// returned range covers adjacent indices of `sizes` whose sum stays
-/// within `max_bytes`. An item larger than `max_bytes` on its own gets a
-/// singleton group (it is never split — callers that need to cut a single
-/// oversized item use [`split_chunks`] on it instead). The ranges
-/// partition `0..sizes.len()` in order; an empty `sizes` yields no
-/// groups.
+/// within `max_bytes`, and a group is only closed at a multiple of
+/// `lanes` items. An item larger than `max_bytes` on its own gets a
+/// singleton group when `lanes` is 1 (it is never split — callers that
+/// need to cut a single oversized item use [`split_chunks`] on it
+/// instead). The ranges partition `0..sizes.len()` in order; an empty
+/// `sizes` yields no groups.
 ///
 /// This is the batch dual of [`split_chunks`]: instead of cutting one
 /// large input into per-worker chunks, it glues many small work items
-/// into per-worker jobs big enough to amortize a pool hand-off. The two
-/// compose with lane interleaving from opposite directions — a packed
-/// group of small haystacks is *already* a ready-made batch for the
-/// interleaved `run_from_many` scan (each item is its own lane), while a
-/// worker holding one oversized item re-applies [`split_chunks`] to make
-/// lanes out of it (see
-/// [`Engine::plan_chunks_interleaved`](crate::pool::Engine::plan_chunks_interleaved)).
-pub fn pack_by_bytes(sizes: &[usize], max_bytes: usize) -> Vec<std::ops::Range<usize>> {
-    pack_by_bytes_lanes(sizes, max_bytes, 1)
-}
-
-/// [`pack_by_bytes`] with a lane-count constraint: a group is only closed
-/// at a multiple of `lanes` items, so every group except possibly the
-/// last carries full lane complements. Backends that interleave `lanes`
-/// independent inputs per scan (the SIMD gather kernels walk
-/// [`INTERLEAVE_LANES`] haystacks in lockstep) only engage the wide
-/// kernel on full lane groups — byte-balanced groups that strand one or
-/// two items at the tail of *every* group keep such batches on the scalar
-/// remainder path. The byte bound becomes soft by up to `lanes − 1`
-/// items: a group may overshoot `max_bytes` while filling out its lane
-/// complement.
-///
-/// `lanes = 1` (or 0) is exactly [`pack_by_bytes`]; the ranges always
-/// partition `0..sizes.len()` in order.
+/// into per-worker jobs big enough to amortize a pool hand-off. A packed
+/// group of small haystacks is a ready-made batch for the interleaved
+/// `run_from_many` scan (each item is its own lane), and backends that
+/// interleave `lanes` independent inputs per scan (the SIMD gather
+/// kernels walk [`INTERLEAVE_LANES`] haystacks in lockstep) only engage
+/// the wide kernel on full lane groups — byte-balanced groups that
+/// strand one or two items at the tail of *every* group would keep such
+/// batches on the scalar remainder path. So every group except possibly
+/// the last carries full lane complements, and the byte bound becomes
+/// soft by up to `lanes − 1` items: a group may overshoot `max_bytes`
+/// while filling out its lane complement. A `lanes` of `0` is treated as
+/// `1` (the [crate-wide `0 ⇒ 1` clamp](crate)).
 ///
 /// [`INTERLEAVE_LANES`]: sfa_core::dsfa::INTERLEAVE_LANES
 pub fn pack_by_bytes_lanes(
@@ -212,40 +201,28 @@ mod tests {
 
     #[test]
     fn pack_by_bytes_partitions_in_order() {
+        let pack = |sizes: &[usize], bound| pack_by_bytes_lanes(sizes, bound, 1);
         // Groups close when the next item would overflow the bound.
         let sizes = [100, 100, 100, 100, 100];
-        assert_eq!(pack_by_bytes(&sizes, 250), vec![0..2, 2..4, 4..5]);
+        assert_eq!(pack(&sizes, 250), vec![0..2, 2..4, 4..5]);
         // An oversized item gets its own group without splitting, and
         // never drags its neighbors past the bound.
         let sizes = [10, 5000, 10, 10];
-        assert_eq!(pack_by_bytes(&sizes, 100), vec![0..1, 1..2, 2..4]);
+        assert_eq!(pack(&sizes, 100), vec![0..1, 1..2, 2..4]);
         // One giant item alone.
-        assert_eq!(pack_by_bytes(&[9999], 10), vec![0..1]);
+        assert_eq!(pack(&[9999], 10), vec![0..1]);
         // Everything fits in one group.
-        assert_eq!(pack_by_bytes(&[1, 2, 3], 100), vec![0..3]);
+        assert_eq!(pack(&[1, 2, 3], 100), vec![0..3]);
         // Zero-size items pack densely; empty input yields no groups.
-        assert_eq!(pack_by_bytes(&[0, 0, 0], 0), vec![0..3]);
-        assert_eq!(pack_by_bytes(&[], 100), Vec::<std::ops::Range<usize>>::new());
-        // The groups always partition the index space exactly.
-        for bound in [1, 7, 50, 1000] {
-            let sizes = [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5];
-            let groups = pack_by_bytes(&sizes, bound);
-            let mut covered = Vec::new();
-            for g in &groups {
-                covered.extend(g.clone());
-            }
-            assert_eq!(covered, (0..sizes.len()).collect::<Vec<_>>(), "bound {bound}");
-        }
+        assert_eq!(pack(&[0, 0, 0], 0), vec![0..3]);
+        assert_eq!(pack(&[], 100), Vec::<std::ops::Range<usize>>::new());
     }
 
     #[test]
     fn lane_packing_closes_groups_on_lane_multiples() {
-        // With lanes = 1 the two functions are identical.
-        let sizes = [100, 100, 100, 100, 100];
-        assert_eq!(pack_by_bytes_lanes(&sizes, 250, 1), pack_by_bytes(&sizes, 250));
-
         // lanes = 4: the byte bound (250) would close after two items,
         // but the group only closes at the next multiple of 4.
+        let sizes = [100, 100, 100, 100, 100];
         assert_eq!(pack_by_bytes_lanes(&sizes, 250, 4), vec![0..4, 4..5]);
 
         // Exactly-full lane groups close on the bound like before.
@@ -255,7 +232,7 @@ mod tests {
         // lanes = 0 is clamped to 1, and the partition property holds for
         // every (bound, lanes) combination.
         let sizes = [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5];
-        assert_eq!(pack_by_bytes_lanes(&sizes, 7, 0), pack_by_bytes(&sizes, 7));
+        assert_eq!(pack_by_bytes_lanes(&sizes, 7, 0), pack_by_bytes_lanes(&sizes, 7, 1));
         for bound in [1, 7, 50, 1000] {
             for lanes in [1, 2, 4, 8] {
                 let groups = pack_by_bytes_lanes(&sizes, bound, lanes);

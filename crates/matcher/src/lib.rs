@@ -110,7 +110,6 @@
 
 pub mod chunk;
 pub mod error;
-pub mod executor;
 pub mod matches;
 pub mod parallel;
 pub mod pool;
@@ -122,11 +121,9 @@ pub mod strategy;
 pub mod stream;
 
 pub use chunk::{
-    pack_by_bytes, pack_by_bytes_lanes, split_chunks, split_chunks_guided,
-    split_chunks_with_offsets,
+    pack_by_bytes_lanes, split_chunks, split_chunks_guided, split_chunks_with_offsets,
 };
 pub use error::Error;
-pub use executor::{map_chunks, tree_reduce};
 pub use matches::SetMatches;
 pub use parallel::{ParallelNSfaMatcher, ParallelSfaMatcher};
 pub use pool::{ChunkPlan, Engine, WorkerPool, MIN_POOL_CHUNK_BYTES};
@@ -158,11 +155,6 @@ pub enum Reduction {
 
 #[cfg(test)]
 mod proptests {
-    // The deprecated wrappers stay under property coverage until removal:
-    // they are one-line shims over the `Strategy` core, and these suites
-    // prove shim and core agree on every generated case.
-    #![allow(deprecated)]
-
     use super::*;
     // `proptest::prelude::Strategy` (the generator trait) shadows our
     // execution-strategy enum inside this module; alias ours.
@@ -340,14 +332,16 @@ mod proptests {
             }
             haystack.extend_from_slice(suffix.as_bytes());
 
-            let expected = re.is_match_sequential(&haystack);
+            let expected = re.is_match_with(&haystack, Exec::Sequential);
             if plant {
                 // The needle is literally present, so Contains must hit.
                 prop_assert!(expected);
             }
             for reduction in [Reduction::Sequential, Reduction::Tree] {
-                prop_assert_eq!(re.is_match_parallel(&haystack, threads, reduction), expected);
-                prop_assert_eq!(re.is_match_speculative(&haystack, threads, reduction), expected);
+                let parallel = Exec::Parallel { threads, reduction };
+                let speculative = Exec::Speculative { threads, reduction };
+                prop_assert_eq!(re.is_match_with(&haystack, parallel), expected);
+                prop_assert_eq!(re.is_match_with(&haystack, speculative), expected);
             }
 
             // Streaming: cut at every boundary through the needle's
@@ -459,12 +453,14 @@ mod proptests {
 
             for input in &inputs {
                 let bytes = input.as_bytes();
-                let expected = eager.is_match_sequential(bytes);
-                prop_assert_eq!(lazy.is_match_sequential(bytes), expected);
+                let expected = eager.is_match_with(bytes, Exec::Sequential);
+                prop_assert_eq!(lazy.is_match_with(bytes, Exec::Sequential), expected);
                 for reduction in [Reduction::Sequential, Reduction::Tree] {
-                    prop_assert_eq!(eager.is_match_parallel(bytes, threads, reduction), expected);
-                    prop_assert_eq!(lazy.is_match_parallel(bytes, threads, reduction), expected);
-                    prop_assert_eq!(lazy.is_match_speculative(bytes, threads, reduction), expected);
+                    let parallel = Exec::Parallel { threads, reduction };
+                    let speculative = Exec::Speculative { threads, reduction };
+                    prop_assert_eq!(eager.is_match_with(bytes, parallel), expected);
+                    prop_assert_eq!(lazy.is_match_with(bytes, parallel), expected);
+                    prop_assert_eq!(lazy.is_match_with(bytes, speculative), expected);
                 }
                 // Streaming: one arbitrary cut, then byte-at-a-time.
                 let cut = cut.index(bytes.len() + 1).min(bytes.len());

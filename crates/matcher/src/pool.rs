@@ -592,5 +592,18 @@ mod tests {
         }
         assert_eq!(engine.tree_reduce(Vec::<u32>::new(), true, |a, b| a + b), None);
         assert_eq!(engine.tree_reduce(vec![7u32], true, |a, b| a + b), Some(7));
+        assert_eq!(engine.tree_reduce(vec![1u32, 2], true, |a, b| a + b), Some(3));
+        assert_eq!(engine.tree_reduce(vec![1u32, 2, 3], false, |a, b| a + b), Some(6));
+    }
+
+    #[test]
+    fn map_chunks_single_item_runs_inline() {
+        let engine = Engine::new(2);
+        let caller = std::thread::current().id();
+        let out = engine.map_chunks(vec![41], true, |_, x| {
+            assert_eq!(std::thread::current().id(), caller, "one item never leaves the caller");
+            x + 1
+        });
+        assert_eq!(out, vec![42]);
     }
 }

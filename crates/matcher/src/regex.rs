@@ -9,9 +9,9 @@
 use crate::error::Error;
 use crate::matches::SetMatches;
 use crate::parallel::ParallelSfaMatcher;
-use crate::pool::{Engine, MIN_POOL_CHUNK_BYTES};
+use crate::pool::Engine;
 use crate::prefilter::Prefilter;
-use crate::shard::{Shard, ShardedSet};
+use crate::shard::{scan_batch, Shard, ShardedSet};
 use crate::speculative::SpeculativeDfaMatcher;
 use crate::strategy::Strategy;
 use crate::stream::{SetStream, StreamMatcher};
@@ -175,6 +175,12 @@ impl RegexBuilder {
     /// the number of chunks the input is cut into, further capped at the
     /// engine's worker count at match time.
     ///
+    /// The batch APIs of [`Regex`] and [`RegexSet`], sharded or not, read
+    /// it the same way: with `1` a batch runs inline on the calling
+    /// thread; otherwise it only sets how many workers' shares the batch
+    /// bytes must fill to pay for the hand-off (see
+    /// [`Regex::is_match_batch`]).
+    ///
     /// `0` is treated as `1` — the [crate-wide `0 ⇒ 1` clamp](crate)
     /// (see "The `0 ⇒ 1` parallelism clamp" in the crate docs).
     pub fn threads(mut self, threads: usize) -> Self {
@@ -267,7 +273,11 @@ impl RegexBuilder {
     /// individually, preserving per-branch verdicts for substring scans.
     /// An empty branch list compiles to the void language (the union of
     /// zero languages).
-    fn build_from_asts(&self, pattern: String, branches: Vec<Ast>) -> Result<Regex, CompileError> {
+    pub(crate) fn build_from_asts(
+        &self,
+        pattern: String,
+        branches: Vec<Ast>,
+    ) -> Result<Regex, CompileError> {
         let (branches, collapsed_patterns) = self.wrap_branches(branches);
         let nfa = union_nfa(&branches)?;
         let dfa = determinize(&nfa, &self.dfa)?;
@@ -795,53 +805,38 @@ impl Regex {
         })
     }
 
-    /// **Algorithm 2**: sequential DFA matching.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `is_match_with(input, Strategy::Sequential)` (or `run`) instead"
-    )]
-    pub fn is_match_sequential(&self, input: &[u8]) -> bool {
-        self.is_match_with(input, Strategy::Sequential)
+    /// The explicit [`Strategy::Parallel`] of the builder-configured
+    /// `threads` and reduction: what a haystack too big for a batch group
+    /// runs under (see [`is_match_batch`](Regex::is_match_batch)).
+    pub(crate) fn parallel_strategy(&self) -> Strategy {
+        Strategy::Parallel { threads: self.threads, reduction: self.reduction }
     }
 
-    /// **Algorithm 5**: parallel SFA matching with an explicit parallelism
-    /// degree and reduction strategy.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `is_match_with(input, Strategy::Parallel { threads, reduction })` instead"
-    )]
-    pub fn is_match_parallel(&self, input: &[u8], threads: usize, reduction: Reduction) -> bool {
-        self.is_match_with(input, Strategy::Parallel { threads, reduction })
-    }
-
-    /// **Algorithm 3**: the prior-art speculative parallel DFA matcher
-    /// (kept as a baseline).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `is_match_with(input, Strategy::Speculative { threads, reduction })` instead"
-    )]
-    pub fn is_match_speculative(&self, input: &[u8], threads: usize, reduction: Reduction) -> bool {
-        self.is_match_with(input, Strategy::Speculative { threads, reduction })
-    }
-
-    /// Matches many haystacks as **one** pool batch, returning one verdict
-    /// per haystack (in order).
+    /// Matches many haystacks as **one** engine batch, returning one
+    /// verdict per haystack (in order).
     ///
     /// This is the request-serving dual of chunk parallelism: instead of
-    /// splitting one large input across workers, it spreads many (typically
-    /// small) inputs across workers, paying one pool hand-off for the whole
-    /// batch instead of one dispatch decision per call. Each small haystack
-    /// is scanned sequentially (Algorithm 2) inside its worker — for the
-    /// per-request inputs this API exists for, that is the fastest path. A
-    /// haystack large enough that a plain [`is_match`](Regex::is_match)
-    /// would cut it into pool chunks is matched that way instead, so a
+    /// splitting one large input across workers, it spreads many
+    /// (typically small) inputs across workers, paying one pool hand-off
+    /// for the whole batch instead of one dispatch decision per call. The
+    /// haystacks are packed into byte-bounded groups, and each group is
+    /// scanned through the backend's lanes
+    /// ([`SfaBackend::run_from_many`]): several haystacks walk the SFA
+    /// from the identity state in lockstep, which hides table-load
+    /// latency and fills the SIMD gather kernel. A haystack large enough
+    /// that a plain [`is_match`](Regex::is_match) would cut it into pool
+    /// chunks runs Algorithm 5 across the workers instead, so a
     /// size-skewed batch never serializes its biggest element on one
     /// worker.
     ///
-    /// The small haystacks are cut into at most
-    /// [`threads`](RegexBuilder::threads) contiguous shards (capped at the
-    /// engine's worker count); batches whose total size is too small to
-    /// amortize the hand-off run inline.
+    /// The groups drain through the engine's workers together. A batch
+    /// runs inline on the calling thread instead when
+    /// [`threads`](RegexBuilder::threads) is 1, the engine has one
+    /// worker, or the batch is too small to amortize the hand-off (its
+    /// bytes split over `threads` workers, capped at the engine's worker
+    /// count, leave each under [`MIN_POOL_CHUNK_BYTES`](crate::MIN_POOL_CHUNK_BYTES)).
+    /// This is the same core [`RegexSet::match_batch`] runs, with this
+    /// regex as the one shard and every haystack active.
     ///
     /// ```
     /// use sfa_matcher::Regex;
@@ -851,13 +846,13 @@ impl Regex {
     /// assert_eq!(verdicts, vec![true, false, true]);
     /// ```
     pub fn is_match_batch(&self, haystacks: &[&[u8]]) -> Vec<bool> {
-        self.run_batch(haystacks).into_iter().map(|q| self.dfa.is_accepting(q)).collect()
+        self.batch_states(haystacks).into_iter().map(|q| self.dfa.is_accepting(q)).collect()
     }
 
-    /// The per-pattern verdict for many haystacks as one pool batch —
+    /// The per-pattern verdict for many haystacks as one engine batch —
     /// [`matches`](Regex::matches) what [`is_match_batch`](Regex::is_match_batch)
-    /// is to [`is_match`](Regex::is_match); same sharding plan, richer
-    /// verdict. See [`RegexSet::matches_batch`].
+    /// is to [`is_match`](Regex::is_match); same plan, richer verdict.
+    /// See [`RegexSet::matches_batch`].
     ///
     /// A documented wrapper around
     /// [`try_matches_batch`](Regex::try_matches_batch) that panics on
@@ -875,51 +870,20 @@ impl Regex {
     pub fn try_matches_batch(&self, haystacks: &[&[u8]]) -> Result<Vec<SetMatches>, Error> {
         self.check_tracking()?;
         Ok(self
-            .run_batch(haystacks)
+            .batch_states(haystacks)
             .into_iter()
             .map(|q| SetMatches::new(self.dfa.accept_set(q).clone()))
             .collect())
     }
 
-    /// The batch execution core: the final DFA state of every haystack,
-    /// computed with the adaptive plan described on
-    /// [`is_match_batch`](Regex::is_match_batch). Both batch verdict APIs
-    /// are views of this, exactly as the single-shot APIs are views of
-    /// [`run`](Regex::run).
-    fn run_batch(&self, haystacks: &[&[u8]]) -> Vec<StateId> {
-        let engine = self.engine();
-        let shards = self.threads.clamp(1, engine.workers());
-        let mut out = vec![self.dfa.start(); haystacks.len()];
-        // Oversized haystacks go through their own chunk-parallel plan;
-        // everything below the pool threshold is collected for sharding.
-        let mut small: Vec<usize> = Vec::with_capacity(haystacks.len());
-        for (i, h) in haystacks.iter().enumerate() {
-            if engine.plan_chunks(h.len(), self.threads).use_pool {
-                out[i] = self.run(
-                    h,
-                    Strategy::Parallel { threads: self.threads, reduction: self.reduction },
-                );
-            } else {
-                small.push(i);
-            }
-        }
-        let total: usize = small.iter().map(|&i| haystacks[i].len()).sum();
-        if shards <= 1 || small.len() <= 1 || total / shards < MIN_POOL_CHUNK_BYTES {
-            for &i in &small {
-                out[i] = self.run_sequential(haystacks[i]);
-            }
-            return out;
-        }
-        let shard_len = small.len().div_ceil(shards);
-        let finals = engine
-            .map_chunks(small.chunks(shard_len).collect(), true, |_, shard| {
-                shard.iter().map(|&i| self.run_sequential(haystacks[i])).collect::<Vec<_>>()
-            })
-            .concat();
-        for (&i, q) in small.iter().zip(finals) {
-            out[i] = q;
-        }
-        out
+    /// The final DFA state of every haystack: the [batch core](scan_batch)
+    /// with this regex as the one shard and every haystack active. Both
+    /// batch verdict APIs are views of this, exactly as the single-shot
+    /// APIs are views of [`run`](Regex::run).
+    fn batch_states(&self, haystacks: &[&[u8]]) -> Vec<StateId> {
+        let mut finals = vec![self.dfa.start(); haystacks.len()];
+        scan_batch(&[self], haystacks, |_, _| true, |i, _, q| finals[i] = q);
+        finals
     }
 }
 
@@ -928,29 +892,21 @@ impl Regex {
 /// "does any rule match?" ([`is_match`](RegexSet::is_match)) and
 /// "*which* rules match?" ([`matches`](RegexSet::matches)).
 ///
-/// By default the whole set compiles into one combined automaton. With
+/// Every set is a list of [`Shard`]s. By default the whole set compiles
+/// into one shard: one combined automaton over every distinct rule. With
 /// [`RegexBuilder::shard_state_budget`] set, it compiles into several
-/// budget-bounded **shards** plus an optional literal [`Prefilter`]
-/// instead — same API, same verdicts, without the `~2^rules` product-DFA
-/// blowup of large tracked rule sets.
+/// budget-bounded shards plus an optional literal [`Prefilter`] instead —
+/// same API, same verdicts, without the `~2^rules` product-DFA blowup of
+/// large tracked rule sets.
 #[derive(Clone, Debug)]
 pub struct RegexSet {
     patterns: Vec<String>,
     /// Global pattern index → index in the deduplicated universe the
     /// automata run over (identical patterns share a verdict bit).
     dup_of: Vec<PatternId>,
-    /// Size of the deduplicated universe.
-    unique: usize,
-    inner: SetInner,
-}
-
-/// How a [`RegexSet`] was compiled.
-#[derive(Clone, Debug)]
-pub(crate) enum SetInner {
-    /// One combined automaton (no shard budget, or < 2 distinct rules).
-    Single(Box<Regex>),
-    /// Budget-bounded shards with an optional literal prefilter.
-    Sharded(Box<ShardedSet>),
+    /// Boxed: the prefilter's tables make the compiled form several
+    /// hundred bytes, and a set is moved by value and held in enums.
+    sharded: Box<ShardedSet>,
 }
 
 /// The display label of a pattern list (the union's `Regex::pattern`).
@@ -997,19 +953,8 @@ impl RegexSet {
             });
             dup_of.push(id);
         }
-        let unique = unique_asts.len();
-        let inner = match builder.shard_budget {
-            Some(budget) if unique > 1 => SetInner::Sharded(Box::new(ShardedSet::build(
-                builder,
-                &unique_texts,
-                &unique_asts,
-                budget,
-            )?)),
-            _ => SetInner::Single(Box::new(
-                builder.build_from_asts(set_label(&unique_texts), unique_asts)?,
-            )),
-        };
-        Ok(RegexSet { patterns, dup_of, unique, inner })
+        let sharded = Box::new(ShardedSet::build(builder, &unique_texts, unique_asts)?);
+        Ok(RegexSet { patterns, dup_of, sharded })
     }
 
     /// The individual patterns, in verdict-index order.
@@ -1028,7 +973,8 @@ impl RegexSet {
         self.patterns.is_empty()
     }
 
-    /// The combined regex backing a single-automaton set.
+    /// The combined regex backing an unsharded set: its one shard's
+    /// automaton.
     ///
     /// # Panics
     ///
@@ -1038,58 +984,50 @@ impl RegexSet {
     /// [`size_report`](RegexSet::size_report) instead (or check
     /// [`is_sharded`](RegexSet::is_sharded) first).
     pub fn regex(&self) -> &Regex {
-        match &self.inner {
-            SetInner::Single(regex) => regex,
-            SetInner::Sharded(_) => panic!(
-                "RegexSet::regex(): this set was compiled with \
-                 RegexBuilder::shard_state_budget and has no single combined automaton; \
-                 inspect shards() or size_report() instead"
-            ),
-        }
+        assert!(
+            !self.is_sharded(),
+            "RegexSet::regex(): this set was compiled with \
+             RegexBuilder::shard_state_budget and has no single combined automaton; \
+             inspect shards() or size_report() instead"
+        );
+        self.sharded.shards[0].regex()
     }
 
     /// Whether this set compiled into budget-bounded shards (see
     /// [`RegexBuilder::shard_state_budget`]).
     pub fn is_sharded(&self) -> bool {
-        matches!(self.inner, SetInner::Sharded(_))
+        self.sharded.budget.is_some()
     }
 
-    /// The shards of a sharded set, in packing order; empty for a
-    /// single-automaton set.
+    /// The shards of this set, in packing order. An unsharded set has
+    /// exactly one shard: its combined automaton, whose members are the
+    /// set's distinct rules in order (`0..n`), neither
+    /// [gated](Shard::is_gated) nor a [fallback](Shard::is_fallback) —
+    /// the empty set's one shard is the void automaton with no members.
     pub fn shards(&self) -> &[Shard] {
-        match &self.inner {
-            SetInner::Single(_) => &[],
-            SetInner::Sharded(sharded) => &sharded.shards,
-        }
+        &self.sharded.shards
     }
 
     /// The multi-literal prefilter gating this set's literal-only shards,
     /// if any shard is gated (sharded sets only).
     pub fn prefilter(&self) -> Option<&Prefilter> {
-        match &self.inner {
-            SetInner::Single(_) => None,
-            SetInner::Sharded(sharded) => sharded.prefilter.as_ref(),
-        }
+        self.sharded.prefilter.as_ref()
     }
 
     /// The per-shard DFA state budget this set was compiled under, or
-    /// `None` for a single-automaton set.
+    /// `None` for an unsharded set.
     pub fn shard_state_budget(&self) -> Option<usize> {
-        match &self.inner {
-            SetInner::Single(_) => None,
-            SetInner::Sharded(sharded) => Some(sharded.budget),
-        }
+        self.sharded.budget
     }
 
-    /// Size report for the whole set: the single automaton's report, or
-    /// the [combination](SizeReport::combine) of the per-shard reports
-    /// (sums plus [`SizeReport::shards`] /
-    /// [`SizeReport::max_shard_dfa_states`]).
+    /// Size report for the whole set: the [combination](SizeReport::combine)
+    /// of the per-shard reports (sums plus [`SizeReport::shards`] /
+    /// [`SizeReport::max_shard_dfa_states`]) — for an unsharded set, its
+    /// one automaton's report.
     pub fn size_report(&self) -> SizeReport {
-        match &self.inner {
-            SetInner::Single(regex) => regex.size_report(),
-            SetInner::Sharded(sharded) => sharded.size_report(),
-        }
+        let reports: Vec<SizeReport> =
+            self.sharded.shards.iter().map(|s| s.regex().size_report()).collect();
+        SizeReport::combine(&reports)
     }
 
     /// Whether this set was compiled with per-pattern tracking (see
@@ -1097,20 +1035,14 @@ impl RegexSet {
     /// any-match APIs are available — the per-rule ones panic (or return
     /// [`Error::PatternTrackingDisabled`] from the `try_*` variants).
     pub fn tracks_patterns(&self) -> bool {
-        match &self.inner {
-            SetInner::Single(regex) => regex.tracks_patterns(),
-            SetInner::Sharded(sharded) => sharded.tracked,
-        }
+        self.sharded.tracked
     }
 
     /// True if any pattern matches (under the builder's match mode). On a
     /// sharded set, prefilter-gated shards whose literals do not occur in
     /// the input are skipped entirely.
     pub fn is_match(&self, input: &[u8]) -> bool {
-        match &self.inner {
-            SetInner::Single(regex) => regex.is_match(input),
-            SetInner::Sharded(sharded) => sharded.is_match(input),
-        }
+        self.sharded.is_match(input)
     }
 
     /// **Which** patterns match the input — the full per-rule verdict in
@@ -1159,24 +1091,23 @@ impl RegexSet {
 
     /// Fallible [`matches_with`](RegexSet::matches_with).
     pub fn try_matches_with(&self, input: &[u8], strategy: Strategy) -> Result<SetMatches, Error> {
-        let uniq = match &self.inner {
-            SetInner::Single(regex) => regex.try_matches_with(input, strategy)?,
-            SetInner::Sharded(sharded) => SetMatches::new(sharded.matches_with(input, strategy)?),
-        };
-        Ok(self.expand(uniq))
+        Ok(self.expand(self.sharded.matches_with(input, strategy)?))
     }
 
-    /// Matches many haystacks as one pool batch — "does any pattern match
-    /// this request?", amortized across the whole batch. Verdicts are in
-    /// haystack order. See [`Regex::is_match_batch`].
+    /// Matches many haystacks as one engine batch — "does any pattern
+    /// match this request?", amortized across the whole batch. Verdicts
+    /// are in haystack order. Every (shard, haystack) pair the prefilter
+    /// leaves active is scanned by the batch core described on
+    /// [`Regex::is_match_batch`].
     pub fn match_batch(&self, haystacks: &[&[u8]]) -> Vec<bool> {
-        match &self.inner {
-            SetInner::Single(regex) => regex.is_match_batch(haystacks),
-            SetInner::Sharded(sharded) => sharded.match_batch(haystacks),
-        }
+        let mut out = vec![false; haystacks.len()];
+        self.sharded.scan_active(haystacks, |i, shard, q| {
+            out[i] |= self.sharded.shards[shard].regex().dfa().is_accepting(q);
+        });
+        out
     }
 
-    /// Per-pattern verdicts for many haystacks as one pool batch (the
+    /// Per-pattern verdicts for many haystacks as one engine batch (the
     /// rule-set dual of [`match_batch`](RegexSet::match_batch)): one
     /// [`SetMatches`] per haystack, in order. See
     /// [`Regex::matches_batch`].
@@ -1195,41 +1126,41 @@ impl RegexSet {
     /// of a panic when the set was compiled with
     /// [`RegexBuilder::track_patterns`]`(false)`.
     pub fn try_matches_batch(&self, haystacks: &[&[u8]]) -> Result<Vec<SetMatches>, Error> {
-        let uniq: Vec<SetMatches> = match &self.inner {
-            SetInner::Single(regex) => regex.try_matches_batch(haystacks)?,
-            SetInner::Sharded(sharded) => {
-                sharded.matches_batch(haystacks)?.into_iter().map(SetMatches::new).collect()
-            }
-        };
-        Ok(uniq.into_iter().map(|m| self.expand(m)).collect())
+        let sharded = &self.sharded;
+        sharded.check_tracking()?;
+        let mut uniq: Vec<PatternSet> =
+            haystacks.iter().map(|_| PatternSet::new(sharded.unique)).collect();
+        sharded.scan_active(haystacks, |i, shard, q| {
+            sharded.scatter(&mut uniq[i], shard, sharded.shards[shard].regex().dfa().accept_set(q));
+        });
+        Ok(uniq.into_iter().map(|u| self.expand(u)).collect())
     }
 
     /// Starts a [`SetStream`]: incremental matching over input arriving
     /// in blocks — any-match via [`finish`](SetStream::finish), per-rule
     /// via [`set_matches`](SetStream::set_matches) /
-    /// [`set_verdict`](SetStream::set_verdict). On a sharded set this
-    /// runs one stream per shard; the prefilter is **not** used (a
-    /// literal may straddle feed boundaries that already scrolled past a
-    /// skipped shard, so streaming always feeds every shard). See
-    /// [`crate::stream`].
+    /// [`set_verdict`](SetStream::set_verdict). It runs one stream per
+    /// shard; the prefilter is **not** used (a literal may straddle feed
+    /// boundaries that already scrolled past a skipped shard, so
+    /// streaming always feeds every shard). See [`crate::stream`].
     pub fn stream(&self) -> SetStream<'_> {
         SetStream::new(self)
     }
 
-    /// The compiled representation, for the stream driver.
-    pub(crate) fn inner(&self) -> &SetInner {
-        &self.inner
+    /// The compiled shards, for [`SetStream`]'s per-shard streams.
+    pub(crate) fn sharded(&self) -> &ShardedSet {
+        &self.sharded
     }
 
     /// Lifts a verdict over the deduplicated universe to the caller's
     /// pattern indices (identity when the set has no duplicates).
-    pub(crate) fn expand(&self, uniq: SetMatches) -> SetMatches {
-        if self.dup_of.len() == self.unique {
-            return uniq;
+    pub(crate) fn expand(&self, uniq: PatternSet) -> SetMatches {
+        if self.dup_of.len() == self.sharded.unique {
+            return SetMatches::new(uniq);
         }
         let mut out = PatternSet::new(self.patterns.len());
         for (i, &u) in self.dup_of.iter().enumerate() {
-            if uniq.as_pattern_set().contains(u) {
+            if uniq.contains(u) {
                 out.insert(i as PatternId);
             }
         }
@@ -1239,11 +1170,6 @@ impl RegexSet {
 
 #[cfg(test)]
 mod tests {
-    // The deprecated `is_match_*` wrappers are exercised on purpose: they
-    // must keep returning exactly what the `Strategy`-based core returns
-    // until they are removed.
-    #![allow(deprecated)]
-
     use super::*;
     use crate::strategy::Strategy;
 
@@ -1252,7 +1178,7 @@ mod tests {
         let re = Regex::new("(ab)*").unwrap();
         assert!(re.is_match(b"abab"));
         assert!(!re.is_match(b"aba"));
-        assert!(re.is_match_sequential(b""));
+        assert!(re.is_match_with(b"", Strategy::Sequential));
         assert_eq!(re.pattern(), "(ab)*");
         assert_eq!(re.mode(), MatchMode::Whole);
         assert!(re.nfa_states() > 0);
@@ -1264,11 +1190,13 @@ mod tests {
         let re = Regex::new("([0-4]{3}[5-9]{3})*").unwrap();
         let inputs: Vec<&[u8]> = vec![b"", b"000555", b"000555111666", b"00055", b"555000"];
         for input in inputs {
-            let expected = re.is_match_sequential(input);
+            let expected = re.is_match_with(input, Strategy::Sequential);
             for threads in [1, 2, 4] {
                 for reduction in [Reduction::Sequential, Reduction::Tree] {
-                    assert_eq!(re.is_match_parallel(input, threads, reduction), expected);
-                    assert_eq!(re.is_match_speculative(input, threads, reduction), expected);
+                    let parallel = Strategy::Parallel { threads, reduction };
+                    let speculative = Strategy::Speculative { threads, reduction };
+                    assert_eq!(re.is_match_with(input, parallel), expected);
+                    assert_eq!(re.is_match_with(input, speculative), expected);
                 }
             }
         }
@@ -1284,7 +1212,7 @@ mod tests {
         // Parallel contains matching agrees with sequential.
         let text = b"xxxxxxxxxxxxxxxxattack77yyyyyyyyyyyyyyyy";
         for threads in [2, 4, 8] {
-            assert!(re.is_match_parallel(text, threads, Reduction::Sequential));
+            assert!(re.is_match_with(text, Strategy::parallel(threads)));
         }
     }
 
@@ -1321,9 +1249,10 @@ mod tests {
             assert_eq!(eager.is_match(input), lazy.is_match(input), "{input:?}");
             for threads in [1, 4] {
                 for reduction in [Reduction::Sequential, Reduction::Tree] {
+                    let parallel = Strategy::Parallel { threads, reduction };
                     assert_eq!(
-                        eager.is_match_parallel(input, threads, reduction),
-                        lazy.is_match_parallel(input, threads, reduction)
+                        eager.is_match_with(input, parallel),
+                        lazy.is_match_with(input, parallel)
                     );
                 }
             }
@@ -1345,7 +1274,8 @@ mod tests {
         assert_eq!(auto.backend_kind(), sfa_core::BackendKind::Lazy);
         assert!(auto.is_match(b"000555"));
         assert!(!auto.is_match(b"00055"));
-        assert!(auto.is_match_parallel(&b"000555111666".repeat(64), 4, Reduction::Tree));
+        let tree = Strategy::Parallel { threads: 4, reduction: Reduction::Tree };
+        assert!(auto.is_match_with(&b"000555111666".repeat(64), tree));
         // The lazy cache may exceed the *eager* cap — that cap is about
         // up-front construction, not about visited states.
         let report = auto.size_report();
@@ -1445,10 +1375,12 @@ mod tests {
                     );
                 }
             }
-            // The deprecated wrappers are views of the same core.
-            assert_eq!(re.is_match_sequential(input), re.dfa().is_accepting(expected));
-            assert_eq!(re.is_match_parallel(input, 3, Reduction::Tree), re.is_match(input));
-            assert_eq!(re.is_match_speculative(input, 3, Reduction::Tree), re.is_match(input));
+            // The verdict APIs are views of the same core.
+            assert_eq!(
+                re.is_match_with(input, Strategy::Sequential),
+                re.dfa().is_accepting(expected)
+            );
+            assert_eq!(re.is_match(input), re.dfa().is_accepting(expected));
         }
     }
 
@@ -1630,6 +1562,7 @@ mod tests {
         assert!(single.matches(b"abab").matched(0));
         let empty = RegexSet::new([], &Regex::builder().track_patterns(false)).unwrap();
         assert!(!empty.is_match(b""), "the empty set stays the void language");
+        assert!(empty.tracks_patterns());
     }
 
     #[test]
@@ -1665,7 +1598,24 @@ mod tests {
         let m = set.matches(b"anything");
         assert_eq!(m.pattern_count(), 0);
         assert!(!m.matched_any());
-        assert_eq!(set.matches_batch(&[&b"x"[..], b"y"]).len(), 2);
+        // One shard, the void automaton, with no members.
+        let [shard] = set.shards() else { panic!("the empty set is one shard") };
+        assert!(shard.is_empty() && !shard.is_gated() && !shard.is_fallback());
+        assert!(set.tracks_patterns());
+        let hays: [&[u8]; 3] = [b"x", b"", &[b'y'; 9000]];
+        let batch = set.matches_batch(&hays);
+        assert_eq!(batch.len(), 3);
+        assert!(batch.iter().all(|m| m.pattern_count() == 0 && m.is_empty()));
+        assert_eq!(set.match_batch(&hays), vec![false; 3]);
+        assert_eq!(set.match_batch(&[]), Vec::<bool>::new());
+        // Streams over the one void shard: nothing can ever match.
+        let mut stream = set.stream();
+        stream.feed(b"GET /atta").feed(b"ck42");
+        assert!(!stream.finish());
+        assert_eq!(stream.verdict(), Some(false));
+        assert!(stream.set_matches().is_empty());
+        assert_eq!(stream.set_verdict().map(|m| m.pattern_count()), Some(0));
+        assert_eq!((stream.bytes_fed(), stream.blocks_fed()), (13, 2));
     }
 
     #[test]
@@ -1681,14 +1631,15 @@ mod tests {
 
     #[test]
     fn batch_matching_agrees_with_per_call() {
-        let engine = Engine::new(4);
-        let re = Regex::builder().engine(engine).threads(4).build("(ab)*").unwrap();
+        let builder = Regex::builder().engine(Engine::new(4)).threads(4);
+        let re = builder.build("(ab)*").unwrap();
         // Haystacks big enough (in total) to engage the pool.
         let accepted = b"ab".repeat(4096);
         let rejected = b"ab".repeat(4095 + 1)[..8191].to_vec();
         // One oversized haystack (its own plan engages the pool) mixed into
-        // the small ones: it takes the chunk-parallel path, not a shard.
+        // the small ones: it runs Algorithm 5, not inside a group.
         let huge = b"ab".repeat(128 * 1024);
+        assert!(re.engine().plan_chunks(huge.len(), re.threads()).use_pool);
         let mut haystacks: Vec<&[u8]> = Vec::new();
         for i in 0..64 {
             haystacks.push(if i % 3 == 0 { &rejected } else { &accepted });
@@ -1699,9 +1650,63 @@ mod tests {
         haystacks.push(b"ba");
         let expected: Vec<bool> = haystacks.iter().map(|h| re.is_match(h)).collect();
         assert_eq!(re.is_match_batch(&haystacks), expected);
+        // A single-threaded build runs the whole batch inline, the
+        // oversized haystack grouped like the rest.
+        let inline = builder.clone().threads(1).build("(ab)*").unwrap();
+        assert!(!inline.engine().plan_chunks(huge.len(), inline.threads()).use_pool);
+        assert_eq!(inline.is_match_batch(&haystacks), expected);
+        // Sets run the same core: an unsharded set as one shard with every
+        // haystack active, a sharded one through its prefilter-gated
+        // shards (`(ab)*aba` needs an `aba`, so "" skips its shard).
+        let rules = ["(ab)*", "(ab)*aba"];
+        let unsharded = RegexSet::new(rules, &builder).unwrap();
+        let sharded = RegexSet::new(rules, &builder.clone().shard_state_budget(2)).unwrap();
+        assert_eq!(sharded.shards().len(), 2);
+        assert!(sharded.shards().iter().any(Shard::is_gated));
+        for set in [&unsharded, &sharded] {
+            let per_call: Vec<SetMatches> =
+                haystacks.iter().map(|h| set.matches_with(h, Strategy::Sequential)).collect();
+            assert_eq!(per_call.iter().map(|m| m.matched(0)).collect::<Vec<_>>(), expected);
+            assert!(per_call[0].matched(1), "the rejected haystacks end in `aba`");
+            assert_eq!(set.matches_batch(&haystacks), per_call);
+            let any: Vec<bool> = per_call.iter().map(SetMatches::matched_any).collect();
+            assert_eq!(set.match_batch(&haystacks), any);
+        }
         // Degenerate batches stay inline and correct.
         assert_eq!(re.is_match_batch(&[]), Vec::<bool>::new());
         assert_eq!(re.is_match_batch(&[&b"abab"[..]]), vec![true]);
+        assert_eq!(sharded.match_batch(&[]), Vec::<bool>::new());
+    }
+
+    #[test]
+    fn unsharded_set_is_one_shard_over_its_distinct_rules() {
+        // Rule 2 duplicates rule 0, so three distinct rules.
+        let patterns = ["GET /[a-z]+", "POST /login", "GET /[a-z]+", "HEAD /status"];
+        let set = RegexSet::new(patterns, &Regex::builder().mode(MatchMode::Contains)).unwrap();
+        assert!(!set.is_sharded());
+        assert_eq!(set.shard_state_budget(), None);
+        assert!(set.prefilter().is_none());
+        let [shard] = set.shards() else { panic!("an unsharded set is one shard") };
+        assert_eq!(shard.members(), &[0, 1, 2]);
+        assert!(!shard.is_gated() && !shard.is_fallback() && !shard.is_empty());
+        assert!(std::ptr::eq(shard.regex(), set.regex()));
+        assert_eq!(shard.regex().pattern_count(), 3);
+        // The set's report is its one automaton's report.
+        assert_eq!(set.size_report().to_json(), set.regex().size_report().to_json());
+        assert_eq!(set.size_report().shards, 1);
+        assert_eq!(set.matches(b"GET /x HEAD /status").iter().collect::<Vec<_>>(), vec![0, 2, 3]);
+
+        // Untracked rules still sit in one shard; the collapsed union
+        // answers any-match only, and tracking stays `track_patterns ||
+        // distinct rules ≤ 1`.
+        let untracked = Regex::builder().mode(MatchMode::Contains).track_patterns(false);
+        let set = RegexSet::new(patterns, &untracked).unwrap();
+        assert_eq!(set.shards()[0].members(), &[0, 1, 2]);
+        assert!(!set.tracks_patterns());
+        assert_eq!(set.match_batch(&[&b"POST /login"[..], b"PUT /"]), vec![true, false]);
+        let one_rule = RegexSet::new(["GET /[a-z]+", "GET /([a-z]+)"], &untracked).unwrap();
+        assert!(one_rule.tracks_patterns());
+        assert_eq!(one_rule.shards()[0].members(), &[0]);
     }
 
     #[test]
@@ -1712,8 +1717,9 @@ mod tests {
         let re = Regex::builder().threads(0).build("(ab)*").unwrap();
         assert!(re.is_match(b"abab"));
         assert!(!re.is_match(b"aba"));
-        assert!(re.is_match_parallel(b"abab", 0, Reduction::Tree));
-        assert!(re.is_match_speculative(b"abab", 0, Reduction::Sequential));
+        assert!(re
+            .is_match_with(b"abab", Strategy::Parallel { threads: 0, reduction: Reduction::Tree }));
+        assert!(re.is_match_with(b"abab", Strategy::speculative(0)));
         // split_chunks applies the same clamp…
         assert_eq!(crate::split_chunks(b"xyz", 0), crate::split_chunks(b"xyz", 1));
         // …and so do the pool and the chunk planner.
@@ -1735,7 +1741,7 @@ mod tests {
         let text = b"00550459".repeat(8 * 1024); // 64 KiB → pool path
         assert!(re.engine().plan_chunks(text.len(), 3).use_pool);
         assert!(re.is_match(&text));
-        assert!(re.is_match_parallel(&text, 3, Reduction::Sequential));
+        assert!(re.is_match_with(&text, Strategy::parallel(3)));
         // Default-engine regexes report the shared global pool.
         let plain = Regex::new("(ab)*").unwrap();
         assert_eq!(plain.engine().workers(), Engine::global().workers());

@@ -30,6 +30,12 @@
 //! Extraction runs on the raw (pre-wrap) AST, which is sound in both
 //! match modes — a `Contains` match contains a word of the raw pattern,
 //! which satisfies every required clause.
+//!
+//! Every set is a list of shards: without a budget it is one ungated
+//! shard over all its rules. This module also holds the one batch core
+//! (`scan_batch`) that every batch API runs — a set over its shards
+//! behind the prefilter, a plain [`Regex`] as one shard with every
+//! haystack active.
 
 use crate::chunk::pack_by_bytes_lanes;
 use crate::error::Error;
@@ -38,15 +44,15 @@ use crate::prefilter::Prefilter;
 use crate::regex::{set_label, union_nfa, Regex, RegexBuilder};
 use crate::strategy::Strategy;
 use sfa_automata::{determinize, CompileError, Dfa, DfaConfig, PatternId, PatternSet, StateId};
-use sfa_core::{SfaStateId, SizeReport, StateIdRepr};
+use sfa_core::{SfaStateId, StateIdRepr};
 use sfa_regex_syntax::literal::required_literal_clauses;
 use sfa_regex_syntax::Ast;
 use std::collections::HashMap;
 
-/// One shard of a sharded [`RegexSet`](crate::RegexSet): a compiled
+/// One shard of a [`RegexSet`](crate::RegexSet): a compiled
 /// sub-automaton covering a contiguous (in packing order) group of the
-/// set's distinct rules. Returned by
-/// [`RegexSet::shards`](crate::RegexSet::shards).
+/// set's distinct rules. An unsharded set is one shard holding all of
+/// them. Returned by [`RegexSet::shards`](crate::RegexSet::shards).
 #[derive(Clone, Debug)]
 pub struct Shard {
     regex: Regex,
@@ -75,8 +81,9 @@ impl Shard {
         self.members.len()
     }
 
-    /// A shard always has at least one rule; this exists for clippy's
-    /// `len`/`is_empty` convention.
+    /// Whether this shard has no rules: true only for the one shard of
+    /// an empty set (the void automaton); every other shard holds at
+    /// least one rule.
     pub fn is_empty(&self) -> bool {
         self.members.is_empty()
     }
@@ -110,17 +117,22 @@ impl Shard {
     }
 }
 
-/// The sharded compilation of a [`RegexSet`](crate::RegexSet): the
-/// shards, the shared prefilter gating the literal-only ones, and the
-/// merge logic that makes the per-shard verdicts look like one automaton.
-/// All verdicts are over the set's deduplicated pattern universe; the
-/// owning `RegexSet` lifts them to caller indices.
+/// The compiled form of every [`RegexSet`](crate::RegexSet): its shards,
+/// the shared prefilter gating the literal-only ones, and the merge logic
+/// that makes the per-shard verdicts look like one automaton. An
+/// unsharded set is one ungated shard over all its rules. All verdicts
+/// are over the set's deduplicated pattern universe; the owning
+/// `RegexSet` lifts them to caller indices.
 #[derive(Clone, Debug)]
 pub(crate) struct ShardedSet {
     pub(crate) shards: Vec<Shard>,
     pub(crate) prefilter: Option<Prefilter>,
-    pub(crate) budget: usize,
+    /// The per-shard state budget, `None` for an unsharded set.
+    pub(crate) budget: Option<usize>,
     pub(crate) unique: usize,
+    /// Whether per-rule verdicts survived compilation: the builder's
+    /// [`track_patterns`](crate::RegexBuilder::track_patterns), or a set
+    /// of at most one distinct rule (which tracks for free).
     pub(crate) tracked: bool,
     /// Per deduplicated rule, its required-literal clauses as prefilter
     /// tags: the rule can only match a haystack where every inner `Vec`
@@ -133,16 +145,34 @@ pub(crate) struct ShardedSet {
 }
 
 impl ShardedSet {
-    /// Packs and compiles `asts` (the deduplicated rules, with `texts`
-    /// their pattern strings) into budget-bounded shards; see the
-    /// [module docs](self) for the algorithm.
+    /// Compiles `asts` (the deduplicated rules, with `texts` their
+    /// pattern strings). Without a
+    /// [shard budget](crate::RegexBuilder::shard_state_budget), or with
+    /// fewer than two rules, the set is one shard whose members are all
+    /// the rules in order; otherwise the rules are packed into
+    /// budget-bounded shards, see the [module docs](self) for the
+    /// algorithm.
     pub(crate) fn build(
         builder: &RegexBuilder,
         texts: &[String],
-        asts: &[Ast],
-        budget: usize,
+        asts: Vec<Ast>,
     ) -> Result<ShardedSet, CompileError> {
         debug_assert_eq!(texts.len(), asts.len());
+        let unique = asts.len();
+        let tracked = builder.track_patterns || unique <= 1;
+        let Some(budget) = builder.shard_budget.filter(|_| unique > 1) else {
+            let regex = builder.build_from_asts(set_label(texts), asts)?;
+            let members = (0..unique as PatternId).collect();
+            return Ok(ShardedSet {
+                shards: vec![Shard { regex, members, gated: false, fallback: false }],
+                prefilter: None,
+                budget: None,
+                unique,
+                tracked,
+                rule_reqs: vec![None; unique],
+                ungated: vec![true],
+            });
+        };
         // The fit test: determinize under the shard budget (never above
         // the builder's own DFA limit).
         let trial_cfg =
@@ -156,7 +186,7 @@ impl ShardedSet {
         // measurably fewer shards. Rules that bust the budget alone sort
         // first and take their fallback singletons immediately.
         let mut solo_states: Vec<usize> = Vec::with_capacity(asts.len());
-        for ast in asts {
+        for ast in &asts {
             let (wrapped, _) = builder.wrap_branches(vec![ast.clone()]);
             let nfa = union_nfa(&wrapped)?;
             match determinize(&nfa, &trial_cfg) {
@@ -229,7 +259,7 @@ impl ShardedSet {
             asts.iter().map(required_literal_clauses).collect();
         let mut tag_of: HashMap<Vec<u8>, u32> = HashMap::new();
         let mut pairs: Vec<(Vec<u8>, u32)> = Vec::new();
-        let mut rule_reqs: Vec<Option<Vec<Vec<u32>>>> = vec![None; asts.len()];
+        let mut rule_reqs: Vec<Option<Vec<Vec<u32>>>> = vec![None; unique];
         for shard in shards.iter_mut() {
             if shard.members.iter().any(|&u| clauses[u as usize].is_none()) {
                 continue;
@@ -261,21 +291,29 @@ impl ShardedSet {
         Ok(ShardedSet {
             shards,
             prefilter,
-            budget,
-            unique: asts.len(),
-            tracked: builder.track_patterns,
+            budget: Some(budget),
+            unique,
+            tracked,
             rule_reqs,
             ungated,
         })
     }
 
-    /// `Err(PatternTrackingDisabled)` when the shards were compiled
+    /// `Err(PatternTrackingDisabled)` when the rules were compiled
     /// collapsed (see [`RegexBuilder::track_patterns`](crate::RegexBuilder::track_patterns)).
     pub(crate) fn check_tracking(&self) -> Result<(), Error> {
         if self.tracked {
             Ok(())
         } else {
             Err(Error::PatternTrackingDisabled)
+        }
+    }
+
+    /// Adds shard `shard`'s local accept set `local` to `into`, a verdict
+    /// over the deduplicated universe, through the shard's member map.
+    pub(crate) fn scatter(&self, into: &mut PatternSet, shard: usize, local: &PatternSet) {
+        for hit in local.iter() {
+            into.insert(self.shards[shard].members[hit as usize]);
         }
     }
 
@@ -342,22 +380,25 @@ impl ShardedSet {
         self.check_tracking()?;
         let active = self.active_shards(haystack);
         let mut out = PatternSet::new(self.unique);
-        for (shard, active) in self.shards.iter().zip(active) {
-            if !active {
-                continue;
-            }
-            let local = shard.regex.try_matches_with(haystack, strategy)?;
-            for hit in local.iter() {
-                out.insert(shard.members[hit]);
+        for (sid, (shard, active)) in self.shards.iter().zip(active).enumerate() {
+            if active {
+                let local = shard.regex.try_matches_with(haystack, strategy)?;
+                self.scatter(&mut out, sid, local.as_pattern_set());
             }
         }
         Ok(out)
     }
 
-    /// One prefilter pass per haystack, flattened: bit `i * shards + sid`
-    /// says shard `sid` must run on haystack `i`. A single allocation for
-    /// the whole batch (plus reused scan scratch).
-    fn batch_actives(&self, haystacks: &[&[u8]]) -> Vec<bool> {
+    /// Runs the [batch core](scan_batch) over the shards, each haystack
+    /// only on the shards its prefilter pass leaves active: one
+    /// prefilter pass per haystack, flattened into a single allocation
+    /// for the whole batch (bit `i * shards + sid` says shard `sid` must
+    /// run on haystack `i`) plus reused scan scratch.
+    pub(crate) fn scan_active(
+        &self,
+        haystacks: &[&[u8]],
+        visit: impl FnMut(usize, usize, StateId),
+    ) {
         let ns = self.shards.len();
         let mut actives = vec![false; haystacks.len() * ns];
         let mut marks = vec![false; self.tag_count()];
@@ -366,114 +407,89 @@ impl ShardedSet {
             self.active_shards_into(h, &mut marks, &mut active);
             actives[i * ns..(i + 1) * ns].copy_from_slice(&active);
         }
-        actives
+        let regexes: Vec<&Regex> = self.shards.iter().map(Shard::regex).collect();
+        scan_batch(&regexes, haystacks, |i, sid| actives[i * ns + sid], visit);
     }
+}
 
-    /// Any-match for a batch: each shard sees only the haystacks that are
-    /// still undecided *and* active for it, as one sub-batch.
-    pub(crate) fn match_batch(&self, haystacks: &[&[u8]]) -> Vec<bool> {
-        let ns = self.shards.len();
-        let actives = self.batch_actives(haystacks);
-        let mut out = vec![false; haystacks.len()];
-        for (sid, shard) in self.shards.iter().enumerate() {
-            let idxs: Vec<usize> =
-                (0..haystacks.len()).filter(|&i| actives[i * ns + sid] && !out[i]).collect();
-            if idxs.is_empty() {
+/// The batch core behind every batch API: [`Regex::is_match_batch`] and
+/// its siblings run it with the regex as the one shard and every
+/// haystack active, [`RegexSet::match_batch`](crate::RegexSet::match_batch)
+/// and its siblings over the set's shards behind the prefilter.
+///
+/// Every (shard, haystack) pair that `is_active(haystack, shard)` admits
+/// is scanned once, and `visit(haystack, shard, q)` receives its final
+/// DFA state `q` on the calling thread. All pairs run as **one** engine
+/// batch: each shard's active haystacks are packed into groups of about
+/// [`MIN_POOL_CHUNK_BYTES`], closed only on full lane complements of the
+/// shard backend's
+/// [`preferred_lanes`](sfa_core::SfaBackend::preferred_lanes), and every
+/// (shard, group) pair becomes one job. Inside a job the group is
+/// scanned from the identity state with
+/// [`SfaBackend::run_from_many`](sfa_core::SfaBackend::run_from_many),
+/// which walks [`INTERLEAVE_LANES`](sfa_core::dsfa::INTERLEAVE_LANES)
+/// haystacks in lockstep on eager backends; the final DFA state is the
+/// end state's mapping applied to the DFA start state (Lemma 1). Jobs
+/// from all shards drain through the pool together, so hundreds of
+/// shards cost one hand-off, not one each.
+///
+/// Two rules decide where the work runs:
+///
+/// * a haystack whose own [`Engine::plan_chunks`](crate::Engine::plan_chunks)
+///   uses the pool runs Algorithm 5 across the workers (the builder's
+///   `threads` and reduction) instead of joining a group;
+/// * the jobs run inline on the calling thread when `threads` is 1, the
+///   engine has one worker, or each worker's share of the grouped bytes
+///   is under [`MIN_POOL_CHUNK_BYTES`].
+///
+/// Every shard of a set comes from one builder, so the first shard's
+/// engine and `threads` speak for all of them.
+pub(crate) fn scan_batch(
+    regexes: &[&Regex],
+    haystacks: &[&[u8]],
+    is_active: impl Fn(usize, usize) -> bool,
+    mut visit: impl FnMut(usize, usize, StateId),
+) {
+    let Some(lead) = regexes.first() else { return };
+    let (engine, threads) = (lead.engine(), lead.threads());
+    let mut jobs: Vec<(usize, Vec<usize>)> = Vec::new();
+    let mut total = 0usize;
+    for (sid, regex) in regexes.iter().enumerate() {
+        let mut idxs: Vec<usize> = Vec::new();
+        for (i, h) in haystacks.iter().enumerate() {
+            if !is_active(i, sid) {
                 continue;
             }
-            let subs: Vec<&[u8]> = idxs.iter().map(|&i| haystacks[i]).collect();
-            for (&i, hit) in idxs.iter().zip(shard.regex.is_match_batch(&subs)) {
-                out[i] |= hit;
+            if engine.plan_chunks(h.len(), threads).use_pool {
+                visit(i, sid, regex.run(h, regex.parallel_strategy()));
+            } else {
+                idxs.push(i);
             }
         }
-        out
+        let sizes: Vec<usize> = idxs.iter().map(|&i| haystacks[i].len()).collect();
+        total += sizes.iter().sum::<usize>();
+        let lanes = regex.sfa().preferred_lanes();
+        for range in pack_by_bytes_lanes(&sizes, MIN_POOL_CHUNK_BYTES, lanes) {
+            jobs.push((sid, idxs[range].to_vec()));
+        }
     }
-
-    /// Per-rule verdicts for a batch, over the deduplicated universe.
-    ///
-    /// The whole cross product of active shards × haystacks is submitted
-    /// as **one** scoped engine batch: every (shard, haystack-group) pair
-    /// becomes a job, and all jobs from all shards drain through the pool
-    /// together. The per-shard sequential loop this replaces paid one
-    /// pool hand-off per shard and left workers idle whenever one shard's
-    /// sub-batch was smaller than the pool — with hundreds of shards the
-    /// hand-offs dominated. Groups are byte-bounded (consecutive active
-    /// haystacks up to [`MIN_POOL_CHUNK_BYTES`]-scaled job sizes, an
-    /// oversized haystack alone in its own job) and closed only on full
-    /// lane complements of the shard backend's
-    /// [`preferred_lanes`](sfa_core::SfaBackend::preferred_lanes), so job
-    /// granularity is balanced regardless of haystack skew *and* the
-    /// interleaved kernel runs wide on every group.
-    ///
-    /// Inside a job the haystacks are scanned with
-    /// [`SfaBackend::run_from_many`], which walks [`INTERLEAVE_LANES`]
-    /// independent inputs in lockstep on eager backends — the
-    /// cache-latency-hiding path the packed tables were built for.
-    ///
-    /// [`MIN_POOL_CHUNK_BYTES`]: crate::pool::MIN_POOL_CHUNK_BYTES
-    /// [`INTERLEAVE_LANES`]: sfa_core::dsfa::INTERLEAVE_LANES
-    /// [`SfaBackend::run_from_many`]: sfa_core::SfaBackend::run_from_many
-    pub(crate) fn matches_batch(&self, haystacks: &[&[u8]]) -> Result<Vec<PatternSet>, Error> {
-        self.check_tracking()?;
-        let ns = self.shards.len();
-        let actives = self.batch_actives(haystacks);
-        let mut out: Vec<PatternSet> =
-            (0..haystacks.len()).map(|_| PatternSet::new(self.unique)).collect();
-        if ns == 0 || haystacks.is_empty() {
-            return Ok(out);
+    let workers = threads.clamp(1, engine.workers());
+    let pooled = workers > 1 && total / workers >= MIN_POOL_CHUNK_BYTES;
+    let scanned = engine.map_chunks(jobs, pooled, |_, (sid, idxs)| {
+        let backend = regexes[sid].sfa();
+        let init = backend.initial();
+        let scan: Vec<(SfaStateId, &[u8])> = idxs.iter().map(|&i| (init, haystacks[i])).collect();
+        let finals: Vec<StateId> = backend
+            .run_from_many(&scan)
+            .into_iter()
+            .map(|f| backend.apply(f, backend.dfa_start()))
+            .collect();
+        (sid, idxs, finals)
+    });
+    for (sid, idxs, finals) in scanned {
+        for (i, q) in idxs.into_iter().zip(finals) {
+            visit(i, sid, q);
         }
-        let engine = self.shards[0].regex.engine().clone();
-        // One job = one shard × one byte-bounded group of its active
-        // haystacks. Total bytes decide whether the pool is worth it.
-        let mut jobs: Vec<(usize, Vec<usize>)> = Vec::new();
-        let mut total = 0usize;
-        for sid in 0..ns {
-            let idxs: Vec<usize> =
-                (0..haystacks.len()).filter(|&i| actives[i * ns + sid]).collect();
-            if idxs.is_empty() {
-                continue;
-            }
-            let sizes: Vec<usize> = idxs.iter().map(|&i| haystacks[i].len()).collect();
-            total += sizes.iter().sum::<usize>();
-            // Close groups only on full lane complements so the shard's
-            // interleaved kernel (the AVX2 gather path under `simd`) runs
-            // wide on every group instead of paying a scalar remainder
-            // per group (see [`pack_by_bytes_lanes`]).
-            let lanes = self.shards[sid].regex.sfa().preferred_lanes();
-            for range in pack_by_bytes_lanes(&sizes, MIN_POOL_CHUNK_BYTES, lanes) {
-                jobs.push((sid, idxs[range].to_vec()));
-            }
-        }
-        let parallel = engine.workers() > 1 && total >= MIN_POOL_CHUNK_BYTES;
-        let scanned: Vec<(usize, Vec<usize>, Vec<StateId>)> =
-            engine.map_chunks(jobs, parallel, |_, (sid, idxs)| {
-                let backend = self.shards[sid].regex.sfa();
-                let init = backend.initial();
-                let scan: Vec<(SfaStateId, &[u8])> =
-                    idxs.iter().map(|&i| (init, haystacks[i])).collect();
-                let finals = backend
-                    .run_from_many(&scan)
-                    .into_iter()
-                    .map(|f| backend.apply(f, backend.dfa_start()))
-                    .collect();
-                (sid, idxs, finals)
-            });
-        for (sid, idxs, finals) in scanned {
-            let shard = &self.shards[sid];
-            for (&i, q) in idxs.iter().zip(finals) {
-                for hit in shard.regex.dfa().accept_set(q).iter() {
-                    out[i].insert(shard.members[hit as usize]);
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// The combined size report: per-shard sums plus the shard count and
-    /// the largest per-shard DFA (see [`SizeReport::combine`]).
-    pub(crate) fn size_report(&self) -> SizeReport {
-        let reports: Vec<SizeReport> = self.shards.iter().map(|s| s.regex.size_report()).collect();
-        SizeReport::combine(&reports)
     }
 }
 
@@ -611,9 +627,8 @@ mod tests {
         // waking the expensive bounded-gap automaton.
         let rules = ["login.{0,32}passwd", "[0-9]{1,3}\\.[0-9]{1,3}\\.[0-9]{1,3}\\.[0-9]{1,3}"];
         let set = RegexSet::new(rules, &builder().shard_state_budget(64)).unwrap();
-        let crate::regex::SetInner::Sharded(sharded) = set.inner() else {
-            panic!("a shard budget was set");
-        };
+        assert!(set.is_sharded(), "a shard budget was set");
+        let sharded = set.sharded();
         let sid =
             |rule: u32| sharded.shards.iter().position(|s| s.members().contains(&rule)).unwrap();
         let (proximity, ip) = (sid(0), sid(1));

@@ -3,9 +3,10 @@
 //! Every way this crate can execute a match — Algorithm 2's sequential
 //! scan, Algorithm 5's chunk-parallel SFA run, Algorithm 3's speculative
 //! baseline — is one value of [`Strategy`], consumed by the single
-//! [`Regex::run`](crate::Regex::run) core. `is_match`, the batch APIs and
-//! [`RegexSet::matches`](crate::RegexSet::matches) all route through it,
-//! so a new execution scenario means a new `Strategy` variant, not a new
+//! [`Regex::run`](crate::Regex::run) core. `is_match` and
+//! [`RegexSet::matches`](crate::RegexSet::matches) route through it (the
+//! batch APIs too, for haystacks big enough to cut into pool chunks), so
+//! a new execution scenario means a new `Strategy` variant, not a new
 //! `is_match_*` method for every verdict shape.
 
 use crate::Reduction;
@@ -13,9 +14,8 @@ use crate::Reduction;
 /// How a single match call executes. See the [module docs](self).
 ///
 /// The per-call knobs (`threads`, `reduction`) live *in* the variant, so
-/// one composable value replaces the former
-/// `is_match_parallel(threads, reduction)`-style parameter soup;
-/// [`Strategy::Auto`] defers to the knobs configured on the
+/// one composable value carries them instead of a parameter list per
+/// matcher method; [`Strategy::Auto`] defers to the knobs configured on the
 /// [`RegexBuilder`](crate::RegexBuilder).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum Strategy {

@@ -10,10 +10,12 @@
 //! last block is exactly the state of the concatenated input — no
 //! buffering, no re-scanning, any block sizes.
 //!
-//! Within a single large block the two parallelisms compose: the block is
-//! cut into chunks on the regex's [`Engine`](crate::pool::Engine) exactly
-//! like a whole-buffer [`is_match`](crate::Regex::is_match), and the chunk
-//! states are folded into the running state with
+//! Within a single large block the two parallelisms compose: the block
+//! runs Algorithm 5's chunk phase on the regex's
+//! [`Engine`](crate::pool::Engine)
+//! ([`ParallelSfaMatcher::chunk_states`], lanes included) exactly like a
+//! whole-buffer parallel match, and the chunk states are folded into the
+//! running state with
 //! [`SfaBackend::compose_states`](sfa_core::SfaBackend::compose_states).
 //! Small blocks (the common case for request-serving workloads) never
 //! touch the pool: feeding them is a plain continuation of the table
@@ -46,10 +48,10 @@
 //! assert!(!stream.feed(b"benign traffic").finish());
 //! ```
 
-use crate::chunk::split_chunks;
 use crate::error::Error;
 use crate::matches::SetMatches;
-use crate::regex::{Regex, RegexSet, SetInner};
+use crate::parallel::ParallelSfaMatcher;
+use crate::regex::{Regex, RegexSet};
 use sfa_automata::PatternSet;
 use sfa_core::SfaStateId;
 
@@ -96,18 +98,19 @@ impl<'r> StreamMatcher<'r> {
         if sfa.is_sink(self.state) {
             return self; // saturated: no suffix can change the verdict
         }
-        let plan = self.regex.engine().plan_chunks(block.len(), self.regex.threads());
-        if !plan.use_pool {
+        let (engine, threads) = (self.regex.engine(), self.regex.threads());
+        if !engine.plan_chunks(block.len(), threads).use_pool {
             // run_from dispatches once on the backend's packed table
             // width and scans the block in a monomorphized loop, so
             // block-at-a-time streaming gets the cache-packed fast path
             // with no per-byte dispatch.
             self.state = sfa.run_from(self.state, block);
         } else {
-            // Chunk phase of Algorithm 5 within the block, then fold the
-            // chunk states into the running state (Lemma 1 twice over).
-            let chunks = split_chunks(block, plan.chunks);
-            let partials = self.regex.engine().map_chunks(chunks, true, |_, c| sfa.run(c));
+            // Chunk phase of Algorithm 5 within the block (lanes
+            // included), then fold the chunk states into the running
+            // state (Lemma 1 twice over).
+            let partials =
+                ParallelSfaMatcher::with_engine(sfa, engine.clone()).chunk_states(block, threads);
             for f in partials {
                 self.state = sfa.compose_states(self.state, f);
                 if sfa.is_sink(self.state) {
@@ -247,10 +250,9 @@ impl<'r> StreamMatcher<'r> {
 /// An incremental matcher over a whole [`RegexSet`]: the streaming
 /// counterpart of [`RegexSet::matches`], created by [`RegexSet::stream`].
 ///
-/// For an unsharded set this wraps the single combined automaton's
-/// [`StreamMatcher`]; for a
-/// [sharded](crate::RegexBuilder::shard_state_budget) set it runs one
-/// stream per shard in lockstep and merges their verdicts. The literal
+/// It runs one [`StreamMatcher`] per [shard](crate::Shard) in lockstep
+/// and merges their verdicts — an unsharded set has one shard, so one
+/// stream over its combined automaton. The literal
 /// prefilter is deliberately **not** consulted on streams: a required
 /// literal may arrive in a later block (or straddle a block boundary), so
 /// no shard can be skipped — every shard's automaton sees every byte.
@@ -263,14 +265,9 @@ pub struct SetStream<'s> {
 }
 
 impl<'s> SetStream<'s> {
-    /// Starts a stream per underlying automaton, all at the identity state.
+    /// Starts a stream per shard, all at the identity state.
     pub(crate) fn new(set: &'s RegexSet) -> SetStream<'s> {
-        let streams = match set.inner() {
-            SetInner::Single(re) => vec![re.stream()],
-            SetInner::Sharded(sharded) => {
-                sharded.shards.iter().map(|s| s.regex().stream()).collect()
-            }
-        };
+        let streams = set.shards().iter().map(|s| s.regex().stream()).collect();
         SetStream { set, streams }
     }
 
@@ -329,19 +326,13 @@ impl<'s> SetStream<'s> {
 
     /// Fallible form of [`set_matches`](SetStream::set_matches).
     pub fn try_set_matches(&self) -> Result<SetMatches, Error> {
-        match self.set.inner() {
-            SetInner::Single(_) => Ok(self.set.expand(self.streams[0].try_set_matches()?)),
-            SetInner::Sharded(sharded) => {
-                sharded.check_tracking()?;
-                let mut uniq = PatternSet::new(sharded.unique);
-                for (shard, stream) in sharded.shards.iter().zip(&self.streams) {
-                    for hit in stream.try_set_matches()?.iter() {
-                        uniq.insert(shard.members()[hit]);
-                    }
-                }
-                Ok(self.set.expand(SetMatches::new(uniq)))
-            }
+        let sharded = self.set.sharded();
+        sharded.check_tracking()?;
+        let mut uniq = PatternSet::new(sharded.unique);
+        for (shard, stream) in self.streams.iter().enumerate() {
+            sharded.scatter(&mut uniq, shard, stream.try_set_matches()?.as_pattern_set());
         }
+        Ok(self.set.expand(uniq))
     }
 
     /// The final per-rule verdict, if already decided: `Some` once every
@@ -358,26 +349,14 @@ impl<'s> SetStream<'s> {
 
     /// Fallible form of [`set_verdict`](SetStream::set_verdict).
     pub fn try_set_verdict(&self) -> Result<Option<SetMatches>, Error> {
-        match self.set.inner() {
-            SetInner::Single(_) => {
-                Ok(self.streams[0].try_set_verdict()?.map(|m| self.set.expand(m)))
-            }
-            SetInner::Sharded(sharded) => {
-                sharded.check_tracking()?;
-                let mut uniq = PatternSet::new(sharded.unique);
-                for (shard, stream) in sharded.shards.iter().zip(&self.streams) {
-                    match stream.try_set_verdict()? {
-                        Some(local) => {
-                            for hit in local.iter() {
-                                uniq.insert(shard.members()[hit]);
-                            }
-                        }
-                        None => return Ok(None),
-                    }
-                }
-                Ok(Some(self.set.expand(SetMatches::new(uniq))))
-            }
+        let sharded = self.set.sharded();
+        sharded.check_tracking()?;
+        let mut uniq = PatternSet::new(sharded.unique);
+        for (shard, stream) in self.streams.iter().enumerate() {
+            let Some(local) = stream.try_set_verdict()? else { return Ok(None) };
+            sharded.scatter(&mut uniq, shard, local.as_pattern_set());
         }
+        Ok(Some(self.set.expand(uniq)))
     }
 
     /// True once every underlying stream reached a sink; further feeds

@@ -167,8 +167,13 @@ proptest! {
             }
         }
 
+        // Both forms run one batch core, so check it against the per-call
+        // sequential verdicts too, not only sharded against unsharded.
         let refs: Vec<&[u8]> = haystacks.iter().map(|h| h.as_slice()).collect();
-        prop_assert_eq!(sharded.matches_batch(&refs), unsharded.matches_batch(&refs));
+        let per_call: Vec<SetMatches> =
+            refs.iter().map(|h| unsharded.matches_with(h, Strategy::Sequential)).collect();
+        prop_assert_eq!(&unsharded.matches_batch(&refs), &per_call);
+        prop_assert_eq!(&sharded.matches_batch(&refs), &per_call);
         prop_assert_eq!(sharded.match_batch(&refs), unsharded.match_batch(&refs));
     }
 }
