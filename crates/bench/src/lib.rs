@@ -2,10 +2,13 @@
 //!
 //! Shared helpers for the benchmark harness that regenerates every table
 //! and figure of the paper (see the `reproduce` binary and the Criterion
-//! benches under `benches/`).
+//! benches under `benches/`), plus the flat summary record and baseline
+//! gate of the CI-gated `reproduce` targets ([`summary`]).
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
+
+pub mod summary;
 
 use std::time::{Duration, Instant};
 
@@ -44,9 +47,9 @@ pub fn measure<F: FnMut()>(bytes: usize, runs: usize, mut work: F) -> Throughput
 }
 
 /// Scale factor for the reproduction experiments, settable with the
-/// `SFA_SCALE` environment variable (1 = the quick defaults documented in
-/// EXPERIMENTS.md; larger values enlarge inputs proportionally, e.g. 64
-/// approaches the paper's 1 GB inputs).
+/// `SFA_SCALE` environment variable (1 = the quick defaults of the
+/// `reproduce` binary; larger values enlarge inputs proportionally, e.g.
+/// 64 approaches the paper's 1 GB inputs).
 pub fn scale() -> usize {
     std::env::var("SFA_SCALE").ok().and_then(|s| s.parse().ok()).filter(|&s| s > 0).unwrap_or(1)
 }

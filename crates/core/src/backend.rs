@@ -48,15 +48,6 @@ impl BackendKind {
             BackendKind::Lazy => "Lazy",
         }
     }
-
-    /// Parses a kind name produced by [`BackendKind::as_str`].
-    pub fn parse(s: &str) -> Option<BackendKind> {
-        Some(match s {
-            "Eager" => BackendKind::Eager,
-            "Lazy" => BackendKind::Lazy,
-            _ => return None,
-        })
-    }
 }
 
 impl std::fmt::Display for BackendKind {
@@ -403,9 +394,6 @@ mod tests {
         assert_eq!(lazy.kind(), BackendKind::Lazy);
         assert!(eager.eager().is_some() && eager.lazy().is_none());
         assert!(lazy.lazy().is_some() && lazy.eager().is_none());
-        assert_eq!(BackendKind::parse("Eager"), Some(BackendKind::Eager));
-        assert_eq!(BackendKind::parse("Lazy"), Some(BackendKind::Lazy));
-        assert_eq!(BackendKind::parse("???"), None);
         assert_eq!(BackendKind::Lazy.to_string(), "Lazy");
     }
 

@@ -90,16 +90,6 @@ impl StateIdRepr {
             StateIdRepr::U32 => "u32",
         }
     }
-
-    /// Parses a name produced by [`StateIdRepr::as_str`].
-    pub fn parse(s: &str) -> Option<StateIdRepr> {
-        Some(match s {
-            "u8" => StateIdRepr::U8,
-            "u16" => StateIdRepr::U16,
-            "u32" => StateIdRepr::U32,
-            _ => return None,
-        })
-    }
 }
 
 impl std::fmt::Display for StateIdRepr {
@@ -1279,10 +1269,8 @@ mod tests {
         assert_eq!(StateIdRepr::for_states(65_536), StateIdRepr::U16);
         assert_eq!(StateIdRepr::for_states(65_537), StateIdRepr::U32);
         for repr in [StateIdRepr::U8, StateIdRepr::U16, StateIdRepr::U32] {
-            assert_eq!(StateIdRepr::parse(repr.as_str()), Some(repr));
             assert_eq!(repr.to_string(), repr.as_str());
         }
-        assert_eq!(StateIdRepr::parse("u64"), None);
     }
 
     #[test]

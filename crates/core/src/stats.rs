@@ -81,7 +81,7 @@ pub struct SizeReport {
     /// (`sfa_analysis::ConvergenceReport`): the reset-word length for a
     /// synchronizing automaton, the reach-fixpoint depth otherwise. `0`
     /// when the automaton is trivially synchronizing *or* when no
-    /// analysis ran (legacy reports). For a combined report this is the
+    /// analysis ran. For a combined report this is the
     /// slowest shard (per-shard maximum).
     pub convergence_horizon: usize,
     /// `|R_∞|` — the number of DFA states still reachable after
@@ -108,9 +108,9 @@ pub struct SizeReport {
     pub scan_kernel: String,
     /// On-disk footprint of the serialized artifact this automaton was
     /// loaded from (or written to), in bytes. `None` when the automaton
-    /// never touched disk — freshly compiled backends and legacy JSON
-    /// reports, which serialize this as `null`. Summed across shards in a
-    /// combined report once any shard carries a value.
+    /// never touched disk (freshly compiled backends), serialized as
+    /// `null`. Summed across shards in a combined report once any shard
+    /// carries a value.
     pub artifact_bytes: Option<usize>,
 }
 
@@ -247,18 +247,6 @@ impl GrowthClass {
             GrowthClass::OverQuartic => "OverQuartic",
         }
     }
-
-    /// Parses a classification name produced by [`GrowthClass::as_str`].
-    pub fn parse(s: &str) -> Option<GrowthClass> {
-        Some(match s {
-            "AtMostLinear" => GrowthClass::AtMostLinear,
-            "AtMostSquare" => GrowthClass::AtMostSquare,
-            "OverSquare" => GrowthClass::OverSquare,
-            "OverCube" => GrowthClass::OverCube,
-            "OverQuartic" => GrowthClass::OverQuartic,
-            _ => return None,
-        })
-    }
 }
 
 impl SizeReport {
@@ -266,8 +254,7 @@ impl SizeReport {
     /// the build environment vendors no serde.)
     ///
     /// A non-finite `ratio` (`NaN`/`±inf` — `{}` would format those bare,
-    /// which is invalid JSON) is serialized as `null`;
-    /// [`SizeReport::from_json`] reads `null` back as `NaN`.
+    /// which is invalid JSON) is serialized as `null`.
     pub fn to_json(&self) -> String {
         let ratio =
             if self.ratio.is_finite() { self.ratio.to_string() } else { "null".to_string() };
@@ -306,82 +293,6 @@ impl SizeReport {
                 None => "null".to_string(),
             },
         )
-    }
-
-    /// Parses a JSON object produced by [`SizeReport::to_json`]. Returns
-    /// `None` when a field is missing or malformed.
-    pub fn from_json(json: &str) -> Option<SizeReport> {
-        fn field<'a>(json: &'a str, key: &str) -> Option<&'a str> {
-            let needle = format!("\"{key}\":");
-            let start = json.find(&needle)? + needle.len();
-            let rest = &json[start..];
-            let end = rest.find([',', '}'])?;
-            Some(rest[..end].trim())
-        }
-        Some(SizeReport {
-            backend: BackendKind::parse(field(json, "backend")?.trim_matches('"'))?,
-            patterns: field(json, "patterns")?.parse().ok()?,
-            dfa_states: field(json, "dfa_states")?.parse().ok()?,
-            dfa_live_states: field(json, "dfa_live_states")?.parse().ok()?,
-            sfa_states: field(json, "sfa_states")?.parse().ok()?,
-            materialized_states: field(json, "materialized_states")?.parse().ok()?,
-            byte_classes: field(json, "byte_classes")?.parse().ok()?,
-            dfa_table_bytes: field(json, "dfa_table_bytes")?.parse().ok()?,
-            sfa_table_bytes: field(json, "sfa_table_bytes")?.parse().ok()?,
-            sfa_mapping_bytes: field(json, "sfa_mapping_bytes")?.parse().ok()?,
-            // Reports written before packed state ids existed lack these
-            // fields: their tables stored plain `u32` ids and never
-            // carried a premultiplied byte table in the report.
-            state_id_bytes: match field(json, "state_id_bytes") {
-                Some(s) => s.parse().ok()?,
-                None => 4,
-            },
-            table_bytes: match field(json, "table_bytes") {
-                Some(s) => s.parse().ok()?,
-                None => {
-                    field(json, "dfa_table_bytes")?.parse::<usize>().ok()?
-                        + field(json, "sfa_table_bytes")?.parse::<usize>().ok()?
-                }
-            },
-            ratio: match field(json, "ratio")? {
-                "null" => f64::NAN,
-                s => s.parse().ok()?,
-            },
-            growth: GrowthClass::parse(field(json, "growth")?.trim_matches('"'))?,
-            // Reports written before convergence analysis existed lack
-            // these fields: no analysis ran, so every state survives.
-            convergence_horizon: match field(json, "convergence_horizon") {
-                Some(s) => s.parse().ok()?,
-                None => 0,
-            },
-            survivor_states: match field(json, "survivor_states") {
-                Some(s) => s.parse().ok()?,
-                None => field(json, "dfa_states")?.parse().ok()?,
-            },
-            // Reports written before sharding existed lack these fields:
-            // they describe exactly one automaton.
-            shards: match field(json, "shards") {
-                Some(s) => s.parse().ok()?,
-                None => 1,
-            },
-            max_shard_dfa_states: match field(json, "max_shard_dfa_states") {
-                Some(s) => s.parse().ok()?,
-                None => field(json, "dfa_states")?.parse().ok()?,
-            },
-            // Reports written before the SIMD kernels existed lack this
-            // field: every scan was the scalar loop.
-            scan_kernel: match field(json, "scan_kernel") {
-                Some(s) => s.trim_matches('"').to_string(),
-                None => "scalar".to_string(),
-            },
-            // Reports written before durable artifacts existed lack this
-            // field: nothing was ever serialized to disk.
-            artifact_bytes: match field(json, "artifact_bytes") {
-                None => None,
-                Some("null") => None,
-                Some(s) => Some(s.parse().ok()?),
-            },
-        })
     }
 }
 
@@ -469,18 +380,10 @@ mod tests {
         assert!(json.contains("\"backend\":\"Eager\""), "{json}");
         assert!(json.contains("\"materialized_states\":6"), "{json}");
         assert!(json.contains("\"patterns\":1"), "{json}");
-        let back = SizeReport::from_json(&json).unwrap();
-        assert_eq!(back.backend, BackendKind::Eager);
-        assert_eq!(back.patterns, 1);
-        assert_eq!(back.sfa_states, r.sfa_states);
-        assert_eq!(back.materialized_states, r.materialized_states);
-        assert_eq!(back.growth, r.growth);
-        assert_eq!(back.dfa_table_bytes, r.dfa_table_bytes);
-        assert_eq!(back.state_id_bytes, r.state_id_bytes);
-        assert_eq!(back.table_bytes, r.table_bytes);
-        assert!((back.ratio - r.ratio).abs() < 1e-12);
-        assert!(SizeReport::from_json("{}").is_none());
-        assert!(SizeReport::from_json("{\"dfa_states\":oops}").is_none());
+        assert!(json.contains(&format!("\"growth\":\"{}\"", r.growth.as_str())), "{json}");
+        assert!(json.contains(&format!("\"ratio\":{},", r.ratio)), "{json}");
+        assert!(json.contains(&format!("\"dfa_table_bytes\":{},", r.dfa_table_bytes)), "{json}");
+        assert!(json.starts_with("{\"backend\"") && json.ends_with('}'), "{json}");
     }
 
     #[test]
@@ -498,10 +401,11 @@ mod tests {
         assert!(after.materialized_states > 1, "the run materialized states");
         assert!(after.materialized_states <= 6, "never more than the eager |S_d|");
         assert!(after.sfa_table_bytes >= fresh.sfa_table_bytes);
-        // The lazy report round-trips through JSON like the eager one.
-        let back = SizeReport::from_json(&after.to_json()).unwrap();
-        assert_eq!(back.backend, BackendKind::Lazy);
-        assert_eq!(back.materialized_states, after.materialized_states);
+        // The lazy report serializes like the eager one.
+        let json = after.to_json();
+        assert!(json.contains("\"backend\":\"Lazy\""), "{json}");
+        let materialized = format!("\"materialized_states\":{},", after.materialized_states);
+        assert!(json.contains(&materialized), "{json}");
 
         // The eager constructor and of_backend agree on an eager backend.
         let sfa = DSfa::from_dfa(&dfa, &SfaConfig::default()).unwrap();
@@ -535,31 +439,21 @@ mod tests {
         assert_eq!(SizeReport::combine(&[a, lazy]).backend, BackendKind::Lazy);
         let nested = SizeReport::combine(&[combined.clone(), combined]);
         assert_eq!(nested.shards, 4);
-        // Empty input: zeroed report, NaN ratio.
+        // Empty input: zeroed report, NaN ratio, serialized as null.
         let empty = SizeReport::combine(&[]);
         assert_eq!(empty.shards, 0);
         assert_eq!(empty.dfa_states, 0);
         assert!(empty.ratio.is_nan());
+        assert!(empty.to_json().contains("\"ratio\":null,"), "{}", empty.to_json());
     }
 
     #[test]
-    fn sharded_report_round_trips_and_old_json_defaults_to_one_shard() {
+    fn sharded_report_serializes_its_shard_fields() {
         let combined = SizeReport::combine(&[report("(ab)*"), report("abcdef")]);
         let json = combined.to_json();
-        assert!(json.contains("\"shards\":2"), "{json}");
-        let back = SizeReport::from_json(&json).unwrap();
-        assert_eq!(back.shards, 2);
-        assert_eq!(back.max_shard_dfa_states, combined.max_shard_dfa_states);
-        // JSON written before the shard fields existed still parses: one
-        // automaton, its own DFA as the largest shard.
-        let old = report("(ab)*");
-        let legacy_json = old
-            .to_json()
-            .replace(&format!(",\"shards\":1,\"max_shard_dfa_states\":{}", old.dfa_states), "");
-        assert!(!legacy_json.contains("shards"), "{legacy_json}");
-        let parsed = SizeReport::from_json(&legacy_json).unwrap();
-        assert_eq!(parsed.shards, 1);
-        assert_eq!(parsed.max_shard_dfa_states, old.dfa_states);
+        let fields =
+            format!("\"shards\":2,\"max_shard_dfa_states\":{},", combined.max_shard_dfa_states);
+        assert!(json.contains(&fields), "{json}");
     }
 
     #[test]
@@ -594,21 +488,12 @@ mod tests {
         let combined = SizeReport::combine(&[r.clone(), rl.clone()]);
         assert_eq!(combined.state_id_bytes, 4);
         assert_eq!(combined.table_bytes, r.table_bytes + rl.table_bytes);
-
-        // JSON written before these fields existed still parses: u32 ids,
-        // footprint reconstructed from the per-table byte fields.
-        let legacy_json = r.to_json().replace(
-            &format!(",\"state_id_bytes\":{},\"table_bytes\":{}", r.state_id_bytes, r.table_bytes),
-            "",
-        );
-        assert!(!legacy_json.contains("state_id_bytes"), "{legacy_json}");
-        let parsed = SizeReport::from_json(&legacy_json).unwrap();
-        assert_eq!(parsed.state_id_bytes, 4);
-        assert_eq!(parsed.table_bytes, r.dfa_table_bytes + r.sfa_table_bytes);
+        let fields = format!("\"state_id_bytes\":1,\"table_bytes\":{},", r.table_bytes);
+        assert!(r.to_json().contains(&fields), "{}", r.to_json());
     }
 
     #[test]
-    fn convergence_fields_round_trip_and_legacy_json_means_all_states_survive() {
+    fn convergence_fields_serialize_and_combine() {
         let mut r = report("(ab)*");
         // Fresh reports carry the "no analysis ran" sentinel.
         assert_eq!(r.convergence_horizon, 0);
@@ -618,16 +503,6 @@ mod tests {
         let json = r.to_json();
         assert!(json.contains("\"convergence_horizon\":7"), "{json}");
         assert!(json.contains("\"survivor_states\":2"), "{json}");
-        let back = SizeReport::from_json(&json).unwrap();
-        assert_eq!(back.convergence_horizon, 7);
-        assert_eq!(back.survivor_states, 2);
-        // JSON written before the analysis existed still parses: horizon
-        // 0, every DFA state a survivor.
-        let legacy_json = json.replace(",\"convergence_horizon\":7,\"survivor_states\":2", "");
-        assert!(!legacy_json.contains("convergence"), "{legacy_json}");
-        let parsed = SizeReport::from_json(&legacy_json).unwrap();
-        assert_eq!(parsed.convergence_horizon, 0);
-        assert_eq!(parsed.survivor_states, parsed.dfa_states);
         // combine(): slowest shard's horizon, survivors summed.
         let mut a = report("(ab)*");
         a.convergence_horizon = 3;
@@ -641,10 +516,9 @@ mod tests {
     }
 
     #[test]
-    fn scan_kernel_field_round_trips_and_legacy_defaults_to_scalar() {
+    fn scan_kernel_field_serializes_and_combines() {
         let r = report("(ab)*");
-        // Whatever this build/CPU dispatches to, the report names it and
-        // round-trips it.
+        // Whatever this build/CPU dispatches to, the report names it.
         assert!(
             matches!(r.scan_kernel.as_str(), "shuffle" | "gather" | "scalar"),
             "{}",
@@ -654,40 +528,29 @@ mod tests {
         assert_eq!(r.scan_kernel, "scalar");
         let json = r.to_json();
         assert!(json.contains(&format!("\"scan_kernel\":\"{}\"", r.scan_kernel)), "{json}");
-        let back = SizeReport::from_json(&json).unwrap();
-        assert_eq!(back.scan_kernel, r.scan_kernel);
-        // JSON written before the field existed still parses as scalar.
-        let legacy_json = json.replace(&format!(",\"scan_kernel\":\"{}\"", r.scan_kernel), "");
-        assert!(!legacy_json.contains("scan_kernel"), "{legacy_json}");
-        assert_eq!(SizeReport::from_json(&legacy_json).unwrap().scan_kernel, "scalar");
         // combine(): agreement keeps the kernel, disagreement is "mixed",
         // empty input defaults to scalar.
         let same = SizeReport::combine(&[r.clone(), r.clone()]);
         assert_eq!(same.scan_kernel, r.scan_kernel);
         let mut other = r.clone();
         other.scan_kernel = "something-else".to_string();
-        assert_eq!(SizeReport::combine(&[r, other]).scan_kernel, "mixed");
+        let mixed = SizeReport::combine(&[r, other]);
+        assert_eq!(mixed.scan_kernel, "mixed");
+        assert!(mixed.to_json().contains("\"scan_kernel\":\"mixed\""), "{}", mixed.to_json());
         assert_eq!(SizeReport::combine(&[]).scan_kernel, "scalar");
     }
 
     #[test]
-    fn artifact_bytes_round_trips_and_legacy_defaults_to_null() {
+    fn artifact_bytes_serialize_as_null_until_set() {
         let mut r = report("(ab)*");
         // Freshly compiled automata never touched disk.
         assert_eq!(r.artifact_bytes, None);
         let json = r.to_json();
-        assert!(json.contains("\"artifact_bytes\":null"), "{json}");
-        assert_eq!(SizeReport::from_json(&json).unwrap().artifact_bytes, None);
+        assert!(json.contains("\"artifact_bytes\":null}"), "{json}");
         // A loaded automaton reports its on-disk footprint.
         r.artifact_bytes = Some(4096);
         let json = r.to_json();
-        assert!(json.contains("\"artifact_bytes\":4096"), "{json}");
-        let back = SizeReport::from_json(&json).unwrap();
-        assert_eq!(back.artifact_bytes, Some(4096));
-        // JSON written before the field existed still parses as None.
-        let legacy_json = json.replace(",\"artifact_bytes\":4096", "");
-        assert!(!legacy_json.contains("artifact_bytes"), "{legacy_json}");
-        assert_eq!(SizeReport::from_json(&legacy_json).unwrap().artifact_bytes, None);
+        assert!(json.contains("\"artifact_bytes\":4096}"), "{json}");
         // combine(): None until any shard carries a value, then the sum
         // over the shards that do.
         let plain = report("abcdef");
@@ -713,8 +576,8 @@ mod tests {
         assert_eq!(r.sfa_states, sfa.num_states());
         assert_eq!(r.scan_kernel, sfa.scan_kernel());
         assert_eq!(SizeReport::of_backend(&dfa, &SfaBackend::from(sfa)).artifact_bytes, None);
-        let back = SizeReport::from_json(&r.to_json()).unwrap();
-        assert_eq!(back.artifact_bytes, Some(artifact_len));
+        let json = r.to_json();
+        assert!(json.contains(&format!("\"artifact_bytes\":{artifact_len}}}")), "{json}");
         // combine(): any lazy shard makes the aggregate lazy.
         let mut lazy = report("(ab)*");
         lazy.backend = BackendKind::Lazy;
@@ -723,21 +586,17 @@ mod tests {
     }
 
     #[test]
-    fn non_finite_ratio_round_trips_as_null() {
+    fn non_finite_ratio_serializes_as_null() {
         let mut r = report("(ab)*");
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             r.ratio = bad;
             let json = r.to_json();
-            assert!(json.contains("\"ratio\":null"), "{json}");
+            assert!(json.contains("\"ratio\":null,"), "{json}");
             // Still valid JSON: no bare NaN/inf tokens anywhere.
             assert!(!json.contains("NaN") && !json.contains("inf"), "{json}");
-            let back = SizeReport::from_json(&json).expect("null ratio must parse");
-            assert!(back.ratio.is_nan(), "non-finite ratios read back as NaN");
-            assert_eq!(back.sfa_states, r.sfa_states);
         }
         // Finite ratios are unaffected.
         r.ratio = 2.5;
-        let back = SizeReport::from_json(&r.to_json()).unwrap();
-        assert!((back.ratio - 2.5).abs() < 1e-12);
+        assert!(r.to_json().contains("\"ratio\":2.5,"), "{}", r.to_json());
     }
 }

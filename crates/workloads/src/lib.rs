@@ -7,8 +7,8 @@
 //! request stream (batched haystacks the way a server receives them),
 //! plus generic corpora.
 //!
-//! Everything is deterministic for a given seed so every figure of
-//! EXPERIMENTS.md can be regenerated exactly.
+//! Everything is deterministic for a given seed so every figure the
+//! `reproduce` binary of `sfa-bench` prints can be regenerated exactly.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
