@@ -24,10 +24,11 @@
 //!   cannot reach an accepting state, which are unreachable from the
 //!   start, and how many bytes each state needs to fall into an
 //!   absorbing sink.
-//! * A [`ConvergenceClass`] verdict per automaton, consumed by
-//!   `Strategy::Auto` in the matcher: `Synchronizing` automata get
-//!   convergence-guided speculation, `NonConverging` ones keep the SFA
-//!   composition path.
+//! * A [`ConvergenceClass`] verdict per automaton, reported to callers
+//!   and in size reports. It does not choose a strategy: the matcher's
+//!   `Strategy::Auto` runs SFA composition (the paper's Algorithm 5)
+//!   whatever the class, and the guided speculative matcher is the
+//!   explicit `Strategy::Speculative`.
 //!
 //! The analysis is advisory for performance but **sound for entry sets**:
 //! `R_k` over-approximates every state a chunk boundary can be in, so the
@@ -361,12 +362,6 @@ impl ConvergenceReport {
         }
     }
 
-    /// Whether `Strategy::Auto` should prefer convergence-guided
-    /// speculation over SFA composition for this automaton.
-    pub fn prefers_speculation(&self) -> bool {
-        matches!(self.class, ConvergenceClass::Synchronizing { .. })
-    }
-
     /// The sound entry set for a chunk preceded by `prev_len` bytes of
     /// input ending in `prev_byte`: `δ(R_{prev_len − 1}, class_of(prev_byte))`,
     /// sorted. Whatever state the *true* run is in at that boundary — and
@@ -405,12 +400,12 @@ impl ConvergenceReport {
 }
 
 /// The durable projection of a [`ConvergenceReport`]: class, horizon,
-/// survivor count and reset word — everything `Strategy::Auto` steering
-/// and size reporting consume, in a form cheap enough to travel inside a
-/// serialized automaton artifact. A worker that loads an artifact reads
-/// the verdict from here instead of re-running the analysis; only an
-/// actual guided speculative *run* (which needs the full reach-set
-/// levels) recomputes the report, lazily.
+/// survivor count and reset word — everything size reporting consumes,
+/// in a form cheap enough to travel inside a serialized automaton
+/// artifact. A worker that loads an artifact reads the verdict from here
+/// instead of re-running the analysis; only an actual guided speculative
+/// *run* (which needs the full reach-set levels) recomputes the report,
+/// lazily.
 ///
 /// The wire encoding is a little-endian byte string (see
 /// [`to_bytes`](ConvergenceSummary::to_bytes)); it is embedded verbatim
@@ -443,12 +438,6 @@ impl ConvergenceSummary {
     /// ([`ConvergenceReport::reset_word`]).
     pub fn reset_word(&self) -> Option<&[u8]> {
         self.reset_word.as_deref()
-    }
-
-    /// Whether `Strategy::Auto` should prefer guided speculation
-    /// ([`ConvergenceReport::prefers_speculation`]).
-    pub fn prefers_speculation(&self) -> bool {
-        matches!(self.class, ConvergenceClass::Synchronizing { .. })
     }
 
     /// Serializes the summary to a self-delimiting little-endian byte
@@ -712,7 +701,6 @@ mod tests {
             other => panic!("expected Synchronizing, got {other:?}"),
         }
         assert_reset_word_resets(&dfa, report.reset_word().unwrap());
-        assert!(report.prefers_speculation());
         // The failure sink is the one absorbing state: distance 0 from
         // itself, finite from everywhere (the language is finite).
         assert!(report.sink_distance().iter().all(|d| d.is_some()));
@@ -761,7 +749,6 @@ mod tests {
         assert_eq!(report.reset_word(), None);
         assert!(report.pair_analysis_ran());
         assert_eq!(report.survivor_count(), n);
-        assert!(!report.prefers_speculation());
         // No absorbing sink anywhere in a permutation automaton.
         assert!(report.sink_distance().iter().all(|d| d.is_none()));
     }
@@ -892,7 +879,6 @@ mod tests {
             assert_eq!(summary.compaction_horizon(), report.compaction_horizon());
             assert_eq!(summary.survivor_count(), report.survivor_count());
             assert_eq!(summary.reset_word(), report.reset_word());
-            assert_eq!(summary.prefers_speculation(), report.prefers_speculation());
             let decoded = ConvergenceSummary::from_bytes(&summary.to_bytes()).unwrap();
             assert_eq!(decoded, summary);
         }

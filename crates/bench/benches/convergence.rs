@@ -13,16 +13,14 @@
 //!   planted attacks.
 //! * `convergence_auto` — the `Regex`-level view of the pinned
 //!   streaming scan rule ([`sfa_workloads::LOG_SCAN_RULE`], the
-//!   `reproduce convergence` subject): `Strategy::Auto` (which the
-//!   analysis steers to `Speculative`) vs. an explicit sequential scan
-//!   of the same corpus. The sequential scan wins the wall clock here —
-//!   a single-literal rule gets a skip-ahead prefilter while the
-//!   speculative paths simulate every byte — which is exactly why the
-//!   two are benched side by side.
+//!   `reproduce convergence` subject): `Strategy::Auto` (the paper's
+//!   Algorithm 5, chunk-parallel SFA matching, whatever the convergence
+//!   class) vs. an explicit sequential scan of the same corpus.
 //!
 //! Acceptance checks (always on): the analysis classifies the rule as
-//! `Synchronizing`, `Strategy::Auto` resolves to `Speculative`, and the
-//! guided, baseline and sequential verdicts agree on every corpus.
+//! `Synchronizing` and finds a reset word, `Strategy::Auto` still
+//! resolves to `Parallel`, and the guided, baseline and sequential
+//! verdicts agree on every corpus.
 //! Non-smoke only: guided speculation must beat the all-states baseline
 //! by ≥ 2× on the same engine and thread count.
 //!
@@ -75,18 +73,17 @@ fn bench_speculative(c: &mut Criterion) {
     let report = re.convergence_report();
 
     // Acceptance: the offline analysis proves what the guided path
-    // relies on — a reset word, a synchronizing class, and an Auto
-    // resolution that actually picks Speculative.
+    // relies on — a reset word and a synchronizing class — and the class
+    // does not steer Auto, which stays on Algorithm 5.
     assert!(
         matches!(report.class(), ConvergenceClass::Synchronizing { .. }),
         "the Contains-mode keyword rule must be synchronizing, got {:?}",
         report.class()
     );
-    assert!(report.prefers_speculation());
     assert!(report.reset_word().is_some(), "synchronizing ⇒ a reset word was found");
     assert!(
-        matches!(re.auto_strategy(), Strategy::Speculative { threads: THREADS, .. }),
-        "Strategy::Auto must select Speculative here, got {:?}",
+        matches!(re.auto_strategy(), Strategy::Parallel { threads: THREADS, .. }),
+        "Strategy::Auto must resolve to Parallel here, got {:?}",
         re.auto_strategy()
     );
 
@@ -160,9 +157,9 @@ fn bench_speculative(c: &mut Criterion) {
     group.finish();
 }
 
-/// The `Regex`-level view of the same workload: `Strategy::Auto` —
-/// resolved to guided `Speculative` by the convergence analysis — vs. an
-/// explicit sequential scan.
+/// The `Regex`-level view of the same workload: `Strategy::Auto` — the
+/// chunk-parallel SFA scan (Algorithm 5) — vs. an explicit sequential
+/// scan.
 fn bench_auto(c: &mut Criterion) {
     let re = builder().build(workloads::LOG_SCAN_RULE).expect("scan rule compiles");
     let lines = if smoke() { 2_000 } else { 80_000 };
@@ -182,7 +179,7 @@ fn bench_auto(c: &mut Criterion) {
     let mut group = c.benchmark_group("convergence_auto");
     configure(&mut group);
     group.throughput(Throughput::Bytes(corpus.len() as u64));
-    group.bench_function("auto_speculative", |b| {
+    group.bench_function("auto_parallel", |b| {
         b.iter(|| {
             assert!(re.is_match_with(&corpus, Strategy::Auto));
         })

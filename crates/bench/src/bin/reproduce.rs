@@ -847,7 +847,9 @@ const CONVERGENCE_GATE: &[Rule] = &[
 /// mode) over random digits — plus the measured guided-over-baseline
 /// speculation ratio for each. Writes `BENCH_convergence.json` (or
 /// `SFA_BENCH_OUT`) and, when `SFA_BENCH_BASELINE` names a committed
-/// baseline, gates against it under [`CONVERGENCE_GATE`].
+/// baseline, gates against it under [`CONVERGENCE_GATE`]. Also prints
+/// each subject's throughput under Auto, Parallel, guided Speculative and
+/// Sequential, outside the summary.
 fn convergence() {
     use sfa_matcher::{BackendChoice, ConvergenceClass, MatchMode};
     println!("\n## Convergence analysis — offline automaton reports steering speculation");
@@ -938,10 +940,34 @@ fn convergence() {
     // different automaton shape than the needle scan.
     let window = Regex::builder().threads(threads).build(&workloads::window_pattern(5)).unwrap();
     let window_corpus = workloads::digit_text(4 * 1024 * 1024, 0x5FA);
-    summarize(summary, "window", &window, &window_corpus)
+    let summary = summarize(summary, "window", &window, &window_corpus)
         .int("cores", num_cpus())
-        .int("scale", scale())
-        .publish("BENCH_convergence.json", CONVERGENCE_GATE);
+        .int("scale", scale());
+
+    // What Auto buys: every strategy through `Regex::run` on each
+    // subject's own corpus, best of 3, every verdict Algorithm 2's.
+    // Printed only; the summary above is the gated record.
+    for (label, re, corpus) in [("scan", &scan, &scan_corpus), ("window", &window, &window_corpus)]
+    {
+        let expected = re.dfa().run(corpus);
+        let strategies = [
+            ("auto", Strategy::Auto),
+            ("parallel", Strategy::parallel(threads)),
+            ("speculative", Strategy::speculative(threads)),
+            ("sequential", Strategy::Sequential),
+        ];
+        let speeds: Vec<String> = strategies
+            .into_iter()
+            .map(|(name, strategy)| {
+                let t = measure(corpus.len(), 3, || {
+                    assert_eq!(re.run(corpus, strategy), expected, "{label} under {name}");
+                });
+                format!("{name} {:.3}", t.gb_per_sec())
+            })
+            .collect();
+        println!("{label} GB/s by strategy (best of 3): {}", speeds.join(", "));
+    }
+    summary.publish("BENCH_convergence.json", CONVERGENCE_GATE);
 }
 
 /// The gate of `reproduce server`: artifact structure (how many rules

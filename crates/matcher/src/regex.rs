@@ -385,14 +385,14 @@ pub struct Regex {
     /// first use (only streams consult them; plain matching never pays).
     decided: std::sync::OnceLock<DecidedMaps>,
     /// Offline convergence analysis of the DFA, computed on first use
-    /// (by [`Strategy::Auto`] resolution, speculative runs and
-    /// [`Regex::size_report`]).
+    /// (by [`Strategy::Speculative`] runs, [`Regex::size_report`] and
+    /// artifact encoding — never by [`Strategy::Auto`] resolution).
     convergence: std::sync::OnceLock<sfa_analysis::ConvergenceReport>,
     /// The durable projection of the convergence analysis carried by an
-    /// artifact ([`Regex::from_artifact`]). Lets [`Strategy::Auto`] and
-    /// [`Regex::size_report`] answer without re-running the reach-set
-    /// analysis; an actual guided speculative run still computes the full
-    /// report (it needs the per-state entry sets, not just the class).
+    /// artifact ([`Regex::from_artifact`]). Lets [`Regex::size_report`]
+    /// answer without re-running the reach-set analysis; an actual guided
+    /// speculative run still computes the full report (it needs the
+    /// per-state entry sets, not just the class).
     convergence_summary: Option<sfa_analysis::ConvergenceSummary>,
 }
 
@@ -477,8 +477,9 @@ impl Regex {
     /// The offline convergence analysis of this regex's DFA, computed on
     /// first use and cached for the regex's lifetime: reach sets, reset
     /// word, dead/sink maps and the
-    /// [`ConvergenceClass`](sfa_analysis::ConvergenceClass) verdict that
-    /// steers [`Strategy::Auto`] (see [`Regex::auto_strategy`]).
+    /// [`ConvergenceClass`](sfa_analysis::ConvergenceClass) verdict. The
+    /// guided [`Strategy::Speculative`] path runs on it; it does not steer
+    /// [`Strategy::Auto`] (see [`Regex::auto_strategy`]).
     pub fn convergence_report(&self) -> &sfa_analysis::ConvergenceReport {
         self.convergence.get_or_init(|| sfa_analysis::ConvergenceReport::analyze(&self.dfa))
     }
@@ -622,35 +623,19 @@ impl Regex {
     }
 
     /// What [`Strategy::Auto`] resolves to for this regex: `Sequential`
-    /// for single-threaded builds; otherwise the convergence analysis
-    /// decides — a
-    /// [`Synchronizing`](sfa_analysis::ConvergenceClass::Synchronizing)
-    /// automaton gets guided `Speculative` matching (entry sets collapse,
-    /// so each chunk costs ~`O(n/p)` like the sequential scan but in
-    /// parallel), everything else keeps the SFA-composition `Parallel`
-    /// path, whose per-chunk cost never depends on convergence.
+    /// for single-threaded builds, otherwise the paper's Algorithm 5 —
+    /// `Parallel` with the builder's `threads` and `reduction` — for every
+    /// backend, mode and convergence class. An SFA chunk costs one table
+    /// lookup per byte whatever the automaton's convergence, so the
+    /// convergence analysis never runs to resolve Auto; guided
+    /// speculation stays available as an explicit
+    /// [`Strategy::Speculative`].
     pub fn auto_strategy(&self) -> Strategy {
         if self.threads <= 1 {
             Strategy::Sequential
-        } else if self.prefers_speculation() {
-            Strategy::Speculative { threads: self.threads, reduction: self.reduction }
         } else {
             Strategy::Parallel { threads: self.threads, reduction: self.reduction }
         }
-    }
-
-    /// Whether [`Strategy::Auto`] should pick guided speculation,
-    /// answered from the cheapest available source: an already-computed
-    /// full report, else the durable summary an artifact carried, else a
-    /// fresh analysis.
-    fn prefers_speculation(&self) -> bool {
-        if let Some(full) = self.convergence.get() {
-            return full.prefers_speculation();
-        }
-        if let Some(summary) = &self.convergence_summary {
-            return summary.prefers_speculation();
-        }
-        self.convergence_report().prefers_speculation()
     }
 
     /// The single execution core every verdict API routes through: runs
@@ -803,13 +788,6 @@ impl Regex {
             let (any, set) = self.dfa.verdict_and_accept_set_decided_states();
             DecidedMaps { any, set }
         })
-    }
-
-    /// The explicit [`Strategy::Parallel`] of the builder-configured
-    /// `threads` and reduction: what a haystack too big for a batch group
-    /// runs under (see [`is_match_batch`](Regex::is_match_batch)).
-    pub(crate) fn parallel_strategy(&self) -> Strategy {
-        Strategy::Parallel { threads: self.threads, reduction: self.reduction }
     }
 
     /// Matches many haystacks as **one** engine batch, returning one
@@ -1386,33 +1364,70 @@ mod tests {
 
     #[test]
     fn auto_strategy_follows_builder_defaults_and_convergence() {
-        // threads == 1 resolves to Sequential regardless of the analysis.
-        let seq = Regex::builder().threads(1).build("(ab)*").unwrap();
-        assert_eq!(seq.resolve(Strategy::Auto), Strategy::Sequential);
-        // (ab)* is synchronizing (any byte outside the language drives
-        // every state into the dead sink), so Auto picks the guided
-        // speculative path for multi-threaded builds.
+        // One subject per backend, mode and convergence class: `(ab)*`
+        // and the window automata are synchronizing in Whole mode (a
+        // byte outside the language drives every state into the dead
+        // sink), the needle is synchronizing in Contains mode (any word
+        // holding it resets every state into the accept sink), the
+        // byte-parity automaton never converges, and the 257-state window
+        // automaton is past the pair-analysis cap. The class steers
+        // nothing: Auto is Algorithm 5 with the builder's knobs on more
+        // than one thread and Algorithm 2 on one.
+        let subjects = [
+            ("(ab)*", MatchMode::Whole, BackendChoice::Eager),
+            ("/cgi-bin/ph[a-z]{1,8}", MatchMode::Contains, BackendChoice::Eager),
+            ("[0-9]*[5-9][0-9]{5}", MatchMode::Whole, BackendChoice::Eager),
+            ("[0-9]*[5-9][0-9]{7}", MatchMode::Whole, BackendChoice::Lazy),
+            ("((?s).(?s).)*", MatchMode::Whole, BackendChoice::Eager),
+            ("(ab)*", MatchMode::Whole, BackendChoice::Lazy),
+        ];
+        let parallel = Strategy::Parallel { threads: 4, reduction: Reduction::Tree };
+        for (threads, expected) in [(4, parallel), (1, Strategy::Sequential)] {
+            let builder = Regex::builder().threads(threads).reduction(Reduction::Tree);
+            for (pattern, mode, backend) in subjects {
+                let re = builder.clone().mode(mode).backend(backend).build(pattern).unwrap();
+                let label = format!("{pattern} ({mode:?}, {backend:?}, {threads} threads)");
+                assert_eq!(re.auto_strategy(), expected, "{label}");
+                assert_eq!(re.resolve(Strategy::Auto), expected, "{label}");
+                // Resolving and running Auto never runs the analysis.
+                assert_eq!(re.is_match(b"abab"), re.is_match_with(b"abab", Strategy::Sequential));
+                assert!(re.convergence.get().is_none(), "{label}: Auto ran the analysis");
+            }
+        }
+        // The subjects do span those classes.
+        let class = |pattern: &str, mode| {
+            let re =
+                Regex::builder().mode(mode).backend(BackendChoice::Lazy).build(pattern).unwrap();
+            (re.dfa().num_states(), re.convergence_report().class())
+        };
+        use sfa_analysis::ConvergenceClass::{NonConverging, Synchronizing};
+        let (_, needle) = class("/cgi-bin/ph[a-z]{1,8}", MatchMode::Contains);
+        assert!(matches!(needle, Synchronizing { .. }));
+        let (states, capped) = class("[0-9]*[5-9][0-9]{7}", MatchMode::Whole);
+        assert!(states == 257 && !matches!(capped, Synchronizing { .. }));
+        assert_eq!(class("((?s).(?s).)*", MatchMode::Whole).1, NonConverging);
+
+        // An artifact carries the convergence summary but not the runtime
+        // knobs: the loaded regex resolves on the defaults, never on the
+        // class, and matching does not run the analysis either.
         let sync = Regex::builder().threads(4).reduction(Reduction::Tree).build("(ab)*").unwrap();
-        assert!(sync.convergence_report().prefers_speculation());
-        assert_eq!(
-            sync.auto_strategy(),
-            Strategy::Speculative { threads: 4, reduction: Reduction::Tree }
-        );
-        // The byte-parity automaton never converges — no dead state, no
-        // two states ever merge — so Auto keeps the SFA composition path.
-        let par =
-            Regex::builder().threads(4).reduction(Reduction::Tree).build("((?s).(?s).)*").unwrap();
-        assert!(!par.convergence_report().prefers_speculation());
-        assert_eq!(
-            par.resolve(Strategy::Auto),
-            Strategy::Parallel { threads: 4, reduction: Reduction::Tree }
-        );
+        let loaded =
+            Regex::from_artifact(std::sync::Arc::new(sync.to_artifact().unwrap())).unwrap();
+        let defaults = match default_threads() {
+            1 => Strategy::Sequential,
+            threads => Strategy::Parallel { threads, reduction: Reduction::Sequential },
+        };
+        assert_eq!(loaded.auto_strategy(), defaults);
+        assert!(loaded.is_match(b"abab") && !loaded.is_match(b"aba"));
+        assert!(loaded.convergence.get().is_none(), "Auto ran the analysis after a load");
+
         // Explicit strategies pass through untouched.
-        assert_eq!(par.resolve(Strategy::Sequential), Strategy::Sequential);
+        assert_eq!(sync.resolve(Strategy::Sequential), Strategy::Sequential);
         assert_eq!(
             sync.resolve(Strategy::parallel(2)),
             Strategy::Parallel { threads: 2, reduction: Reduction::Sequential }
         );
+        assert_eq!(sync.resolve(Strategy::speculative(2)), Strategy::speculative(2));
     }
 
     #[test]

@@ -460,8 +460,9 @@ pub(crate) fn scan_batch(
             if !is_active(i, sid) {
                 continue;
             }
+            // Only `threads > 1` uses the pool, and there Auto is Algorithm 5.
             if engine.plan_chunks(h.len(), threads).use_pool {
-                visit(i, sid, regex.run(h, regex.parallel_strategy()));
+                visit(i, sid, regex.run(h, Strategy::Auto));
             } else {
                 idxs.push(i);
             }

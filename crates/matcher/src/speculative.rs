@@ -357,6 +357,7 @@ fn compact(uniq: &mut Vec<StateId>, slot: &mut [u32]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sfa_analysis::ConvergenceClass;
     use sfa_automata::minimal_dfa_from_pattern;
 
     fn test_engine() -> Engine {
@@ -466,7 +467,7 @@ mod tests {
         // byte are tiny compared to |Q|.
         let dfa = minimal_dfa_from_pattern("(?s).*coffee(?s).*").unwrap();
         let report = ConvergenceReport::analyze(&dfa);
-        assert!(report.prefers_speculation());
+        assert!(matches!(report.class(), ConvergenceClass::Synchronizing { .. }));
         let entry = report.entry_set(&dfa, 1000, b'x');
         assert!(
             entry.len() * 4 < dfa.num_states() * 3,

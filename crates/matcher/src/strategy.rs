@@ -19,13 +19,12 @@ use crate::Reduction;
 /// [`RegexBuilder`](crate::RegexBuilder).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum Strategy {
-    /// Use the builder-configured defaults plus the offline convergence
-    /// analysis: sequential when the regex was built with one thread;
-    /// otherwise convergence-guided speculative matching when the
-    /// automaton is
-    /// [`Synchronizing`](crate::ConvergenceClass::Synchronizing) (entry
-    /// sets collapse, so speculation stops paying `O(|Q|)` per byte) and
-    /// parallel SFA matching for everything else. This is what
+    /// Use the builder-configured defaults: [`Sequential`](Strategy::Sequential)
+    /// when the regex was built with one thread, otherwise
+    /// [`Parallel`](Strategy::Parallel) with the builder's `threads` and
+    /// `reduction` — the paper's Algorithm 5 — for every backend, mode
+    /// and [`ConvergenceClass`](crate::ConvergenceClass). Resolving it
+    /// never runs the convergence analysis. This is what
     /// [`Regex::is_match`](crate::Regex::is_match) does; the decision is
     /// observable via [`Regex::auto_strategy`](crate::Regex::auto_strategy).
     #[default]

@@ -276,8 +276,8 @@ mod tests {
         use sfa_matcher::{BackendChoice, ConvergenceClass, MatchMode, Regex, RegexSet, Strategy};
         // Each rule alone, in Contains mode, compiles to a small
         // synchronizing automaton: scanning automata reset once the
-        // needle (or a benign stretch) has been consumed, which is
-        // exactly what makes guided speculation the right default.
+        // needle (or a benign stretch) has been consumed. The class does
+        // not steer Auto, which runs SFA composition (Algorithm 5).
         let builder = Regex::builder().mode(MatchMode::Contains).threads(4);
         let scan = builder.clone().build(crate::LOG_SCAN_RULE).unwrap();
         let report = scan.convergence_report();
@@ -287,14 +287,14 @@ mod tests {
             report.class()
         );
         assert!(report.reset_word().is_some());
-        assert!(matches!(scan.auto_strategy(), Strategy::Speculative { threads: 4, .. }));
+        assert!(matches!(scan.auto_strategy(), Strategy::Parallel { threads: 4, .. }));
         // The streaming workload's pinned rule is ids_scan rule 0.
         assert_eq!(crate::LOG_SCAN_RULE, IDS_SCAN_RULES[0]);
 
         // The full tracked product automaton (5 668 DFA states) is past
         // the pair-analysis cap: the verdict degrades conservatively —
-        // never to Synchronizing — so Auto keeps the SFA composition
-        // path for the big set instead of speculating on 5 668 states.
+        // never to Synchronizing — and Auto runs the SFA composition
+        // path here too.
         let set = RegexSet::new(
             IDS_SCAN_RULES.iter().copied(),
             &Regex::builder()
@@ -307,7 +307,7 @@ mod tests {
         let product = set.regex();
         let report = product.convergence_report();
         assert!(!report.pair_analysis_ran(), "5 668 states must skip the O(n²) pair BFS");
-        assert!(!report.prefers_speculation());
+        assert_eq!(report.class(), ConvergenceClass::NonConverging);
         assert!(matches!(product.auto_strategy(), Strategy::Parallel { threads: 4, .. }));
         // And the analysis surfaces through the size report.
         let size = set.size_report();
