@@ -270,17 +270,18 @@ fn scalability_figure(name: &str, n: usize, fig9_repeated_a: bool) {
     let seq = measure(text.len(), runs, || {
         assert!(re.is_match_with(&text, Strategy::Sequential));
     });
-    println!("{:>8} {:>14} {:>14}", "threads", "DFA seq GB/s", "SFA par GB/s");
-    println!("{:>8} {:>14.3} {:>14}", 1, seq.gb_per_sec(), "-");
-    for threads in thread_sweep().into_iter().filter(|&t| t > 1) {
+    println!("{:>8} {:>14} {:>14}", "threads", "DFA seq GB/s", "SFA GB/s");
+    for threads in thread_sweep() {
         // A dedicated pool per sweep point so the scan really runs on
         // `threads` workers (the shared global engine caps the chunk
-        // count at the machine's CPU count).
+        // count at the machine's CPU count). At 1 thread the SFA row is
+        // one chunk, so SFA(1) / DFA(1) is the table's own gain.
         let matcher = ParallelSfaMatcher::with_engine(re.sfa(), sfa_matcher::Engine::new(threads));
         let par = measure(text.len(), runs, || {
             assert!(re.dfa().is_accepting(matcher.run(&text, threads, Reduction::Sequential)));
         });
-        println!("{:>8} {:>14} {:>14.3}", threads, "-", par.gb_per_sec());
+        let dfa = if threads == 1 { format!("{:.3}", seq.gb_per_sec()) } else { "-".into() };
+        println!("{:>8} {:>14} {:>14.3}", threads, dfa, par.gb_per_sec());
     }
 }
 
@@ -290,13 +291,19 @@ fn fig10() {
     println!("\n## Figure 10 — small-input overhead, {}", workloads::fig10_pattern());
     let re = Regex::new(workloads::fig10_pattern()).unwrap();
     println!("|D| = {} live, |S| = {}", re.dfa().num_live_states(), re.sfa().num_states());
-    let matcher = ParallelSfaMatcher::new(re.sfa());
+    // A dedicated 2-worker pool: the global engine caps the chunk count at
+    // the machine's CPU count, which would make the 2-thread column a
+    // one-chunk scan on a 1-core box.
+    let engine = sfa_matcher::Engine::new(2);
+    let matcher = ParallelSfaMatcher::with_engine(re.sfa(), engine.clone());
     println!(
         "{:>12} {:>16} {:>20} {:>10}",
         "input (KB)", "DFA seq (µs)", "SFA 2 threads (µs)", "winner"
     );
     for kb in [100usize, 200, 400, 600, 800, 1000] {
         let text = workloads::fig10_text(kb * 1000, 42);
+        let plan = engine.plan_chunks(text.len(), 2);
+        assert!(plan.chunks == 2 && plan.use_pool, "{kb} KB must run two pooled chunks: {plan:?}");
         let seq = measure(text.len(), 5, || {
             assert!(re.is_match_with(&text, Strategy::Sequential));
         });
@@ -368,16 +375,22 @@ fn facts() {
         println!("  {:<24} monoid = {:>4}, SFA = {:>4}", pattern, monoid.len(), sfa.num_states());
     }
     // Algorithm 3 vs Algorithm 5 on a medium automaton: the speculative
-    // matcher pays O(|D|) per byte.
+    // matcher pays O(|D|) per byte. Both run on a dedicated 2-worker pool,
+    // so "2 threads" is two chunks on any machine.
     let re = Regex::new(&workloads::rn_pattern(20)).unwrap();
     let text = workloads::rn_text(20, 2 * 1024 * 1024, 1);
-    let spec = SpeculativeDfaMatcher::new(re.dfa());
-    let sfa_m = ParallelSfaMatcher::new(re.sfa());
+    assert!(re.is_match_with(&text, Strategy::Sequential));
+    let engine = sfa_matcher::Engine::new(2);
+    let spec = SpeculativeDfaMatcher::with_engine(re.dfa(), engine.clone());
+    let sfa_m = ParallelSfaMatcher::with_engine(re.sfa(), engine);
     let t_spec = measure(text.len(), 3, || {
         assert!(spec.accepts(&text, 2, Reduction::Sequential));
     });
     let t_sfa = measure(text.len(), 3, || {
         assert!(re.dfa().is_accepting(sfa_m.run(&text, 2, Reduction::Sequential)));
+    });
+    let t_tree = measure(text.len(), 3, || {
+        assert!(sfa_m.accepts(&text, 2, Reduction::Tree));
     });
     println!(
         "Algorithm 3 (speculative, 2 threads): {:>8.3} GB/s   Algorithm 5 (SFA, 2 threads): {:>8.3} GB/s   (|D| = {})",
@@ -385,6 +398,7 @@ fn facts() {
         t_sfa.gb_per_sec(),
         re.dfa().num_live_states()
     );
+    println!("Algorithm 5 with tree reduction (2 threads): {:>8.3} GB/s", t_tree.gb_per_sec());
 }
 
 /// Backends: the Section V-A on-the-fly construction on the repo's
@@ -424,7 +438,29 @@ fn backends() {
         log.len() / 1024,
         t2.elapsed()
     );
-    println!("size report   : {}", re.size_report().to_json());
+    let report = re.size_report();
+    println!("size report   : {}", report.to_json());
+    assert!(report.materialized_states < 1_000, "got {} states", report.materialized_states);
+
+    // The other side of the trade on an explosion-free automaton: once the
+    // lazy cache is warm, the gap to the eager table is the lazy backend's
+    // per-walk overhead.
+    let pattern = workloads::rn_pattern(2);
+    let text = b"00550459".repeat(8 * 1024); // 64 KiB, accepted
+    let engine = sfa_matcher::Engine::new(4);
+    let parallel = Strategy::Parallel { threads: 4, reduction: Reduction::Sequential };
+    for choice in [BackendChoice::Eager, BackendChoice::Lazy] {
+        let re = Regex::builder().backend(choice).engine(engine.clone()).build(&pattern).unwrap();
+        assert!(re.is_match_with(&text, parallel)); // also warms the lazy cache
+        let chunk = measure(text.len(), 5, || assert!(re.sfa().is_accepting(re.sfa().run(&text))));
+        let par = measure(text.len(), 5, || assert!(re.is_match_with(&text, parallel)));
+        println!(
+            "{:<5} backend, {pattern} on 64 KiB: chunk run {:.0} MB/s, 4-worker parallel {:.0} MB/s",
+            re.backend_kind(),
+            chunk.mb_per_sec(),
+            par.mb_per_sec()
+        );
+    }
 }
 
 /// The gate of `reproduce multimatch`: packing is deterministic, so the
@@ -471,7 +507,7 @@ fn multimatch() {
 
     // Sequential on both sides so the printed ratio isolates the
     // multi-pattern gain (one combined pass vs N passes), not the worker
-    // pool — matching what benches/multimatch.rs measures.
+    // pool.
     let t1 = Instant::now();
     let fired = set.matches_with(&log, Strategy::Sequential);
     let combined = t1.elapsed();
@@ -479,6 +515,7 @@ fn multimatch() {
     for (i, pattern) in set.patterns().iter().enumerate() {
         println!("  rule {i} [{}] {}", if fired.matched(i) { "FIRED" } else { "  -  " }, pattern);
     }
+    assert_eq!(fired.iter().collect::<Vec<_>>(), [0, 1, 3], "the planted lines fire these rules");
 
     // The baseline an IDS would otherwise run: N individual automata.
     let singles: Vec<Regex> =
@@ -498,8 +535,7 @@ fn multimatch() {
     );
 
     // ---- sharded vs. unsharded: the 2^rules blowup, fixed --------------
-    // Same ruleset and corpus as `benches/multimatch.rs::bench_sharded`:
-    // eight encoded-injection rules whose required literals all start
+    // Eight encoded-injection rules whose required literals all start
     // with `%`, `<` or `'` (bytes benign traffic never carries), scanned
     // over 40-line request records so the byte scan dominates dispatch.
     println!("\n## Auto-sharded set + literal prefilter vs. one tracked product automaton");
@@ -533,11 +569,13 @@ fn multimatch() {
     let kw_raw: Vec<&[u8]> = kw_log.split(|&b| b == b'\n').filter(|l| !l.is_empty()).collect();
     let kw_grouped: Vec<Vec<u8>> = kw_raw.chunks(40).map(|c| c.join(&b' ')).collect();
     let kw_lines: Vec<&[u8]> = kw_grouped.iter().map(|g| g.as_slice()).collect();
+    let kw_verdicts = sharded.matches_batch(&kw_lines);
     assert_eq!(
-        sharded.matches_batch(&kw_lines),
+        kw_verdicts,
         unsharded.matches_batch(&kw_lines),
         "sharded and unsharded verdicts must be identical"
     );
+    assert!(kw_verdicts.iter().any(|v| v.matched_any()), "the planted attacks must fire");
     let time3 = |f: &dyn Fn()| {
         let start = Instant::now();
         for _ in 0..3 {
@@ -797,6 +835,42 @@ fn throughput() {
         win.num_states(),
         t_gather.mb_per_sec(),
         t_gather_scalar.mb_per_sec(),
+    );
+
+    // batch_10k_256b, printed only: 10 000 request lines of 256 bytes, one
+    // in 100 holding the needle, through one `is_match_batch` call vs. one
+    // `is_match` call each, on an 8-worker pool.
+    let re = Regex::builder()
+        .mode(sfa_matcher::MatchMode::Contains)
+        .engine(sfa_matcher::Engine::new(workers))
+        .threads(workers)
+        .build("attack[0-9]{2}")
+        .unwrap();
+    let requests: Vec<Vec<u8>> = (0..10_000usize)
+        .map(|i| {
+            let mut line = format!("GET /path/{i:06}?q={} HTTP/1.1 ", (i * 2654435761) % 997);
+            if i % 100 == 37 {
+                line.push_str("attack42 ");
+            }
+            let mut bytes = line.into_bytes();
+            bytes.resize(256, b'x');
+            bytes
+        })
+        .collect();
+    let refs: Vec<&[u8]> = requests.iter().map(|r| r.as_slice()).collect();
+    let per_call: Vec<bool> = refs.iter().map(|r| re.is_match(r)).collect();
+    assert_eq!(per_call.iter().filter(|&&m| m).count(), refs.len() / 100);
+    let t_batch = measure(refs.len(), runs, || assert_eq!(re.is_match_batch(&refs), per_call));
+    let t_per_call = measure(refs.len(), runs, || {
+        assert!(refs.iter().map(|r| re.is_match(r)).eq(per_call.iter().copied()));
+    });
+    let rate = |t: sfa_bench::Throughput| refs.len() as f64 / t.elapsed.as_secs_f64();
+    println!(
+        "batch_10k_256b ({workers} workers): batch {:.0} matches/s vs. per-call {:.0} matches/s  \
+         ({:.2}x)",
+        rate(t_batch),
+        rate(t_per_call),
+        rate(t_batch) / rate(t_per_call)
     );
 
     summary

@@ -1,9 +1,9 @@
 //! # sfa-bench
 //!
-//! Shared helpers for the benchmark harness that regenerates every table
-//! and figure of the paper (see the `reproduce` binary and the Criterion
-//! benches under `benches/`), plus the flat summary record and baseline
-//! gate of the CI-gated `reproduce` targets ([`summary`]).
+//! Shared helpers for the `reproduce` binary, which regenerates every
+//! table and figure of the paper, plus the flat summary record and
+//! baseline gate of its CI-gated targets ([`summary`]). The whole-stack
+//! benchmark is the separate `suite` package under `src/bin/suite`.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

@@ -454,12 +454,30 @@ mod tests {
 
     #[test]
     fn pool_is_reused_across_many_batches() {
+        // Every job records the thread that ran it. Only the workers and
+        // the submitter (which helps drain the queue) may appear: a call
+        // that spawned threads of its own would add fresh ids.
+        let ran_on = Mutex::new(std::collections::HashSet::new());
+        let record = |x: u64| {
+            ran_on.lock().unwrap().insert(std::thread::current().id());
+            x
+        };
         let pool = WorkerPool::new(2);
         for round in 0..500u64 {
-            let out = pool.scope_map(vec![round, round + 1, round + 2], |_, x| x * x);
+            let out = pool.scope_map(vec![round, round + 1, round + 2], |_, x| record(x) * x);
             assert_eq!(out, vec![round * round, (round + 1).pow(2), (round + 2).pow(2)]);
         }
         assert_eq!(pool.workers(), 2);
+        assert!(ran_on.lock().unwrap().len() <= 3, "2 workers + the submitter");
+
+        // The same through the engine entry point the matchers call.
+        ran_on.lock().unwrap().clear();
+        let engine = Engine::new(8);
+        for call in 0..10_000u64 {
+            let out = engine.map_chunks((call..call + 8).collect(), true, |_, x| record(x) + 1);
+            assert_eq!(out, (call + 1..call + 9).collect::<Vec<_>>());
+        }
+        assert!(ran_on.lock().unwrap().len() <= 9, "8 workers + the submitter");
     }
 
     #[test]

@@ -1028,8 +1028,8 @@ impl RegexSet {
     ///
     /// The verdict is identical to compiling every pattern individually
     /// and asking each for [`Regex::is_match`], but costs one scan of the
-    /// combined automaton instead of `N` (see `benches/multimatch.rs`),
-    /// and is the same under every [`Strategy`], both backends, and
+    /// combined automaton instead of `N` (`reproduce multimatch` measures
+    /// it), and is the same under every [`Strategy`], both backends, and
     /// sharded or not.
     ///
     /// A documented wrapper around

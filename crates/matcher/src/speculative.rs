@@ -369,6 +369,7 @@ mod tests {
         let report = ConvergenceReport::analyze(&dfa);
         let baseline = SpeculativeDfaMatcher::with_engine(&dfa, test_engine());
         let guided = SpeculativeDfaMatcher::with_engine(&dfa, test_engine()).with_analysis(&report);
+        assert!(guided.is_guided() && !baseline.is_guided());
         for &input in inputs {
             let expected = dfa.accepts(input);
             for threads in [1usize, 2, 3, 4, 7] {

@@ -82,9 +82,9 @@ pub const CORPUS_1K_SEED: u64 = 0x5FA_2013;
 
 /// The pinned 1 000-rule benchmark corpus: the curated patterns followed
 /// by generated rules from the default shape mix under
-/// [`CORPUS_1K_SEED`]. This is the ruleset `benches/multimatch.rs` and
-/// `reproduce multimatch` shard — byte-for-byte stable across runs and
-/// machines, so committed numbers stay comparable.
+/// [`CORPUS_1K_SEED`]. This is the ruleset `reproduce multimatch` shards —
+/// byte-for-byte stable across runs and machines, so committed numbers
+/// stay comparable.
 pub fn corpus_1k() -> Vec<String> {
     ruleset(&SnortConfig { count: CORPUS_1K, seed: CORPUS_1K_SEED, dot_star_fraction: 0.004 })
 }

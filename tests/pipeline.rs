@@ -230,7 +230,7 @@ fn streaming_log_replay_agrees_with_whole_buffer() {
         .threads(4)
         .build("/cgi-bin/ph[a-z]{1,8}")
         .unwrap();
-    for (attack_every, mean_block) in [(0usize, 256usize), (1000, 64), (97, 8192)] {
+    for (attack_every, mean_block) in [(0usize, 256usize), (1000, 64), (97, 8192), (0, 64 << 10)] {
         let config = workloads::StreamConfig { lines: 3_000, attack_every, mean_block, seed: 11 };
         let blocks = workloads::log_stream(&config);
         let corpus = workloads::log_stream_bytes(&config);
