@@ -351,7 +351,7 @@ impl SfaBackend {
     }
 
     /// Name of the transition kernel this backend's scans dispatch to
-    /// (`"shuffle"` / `"gather"` / `"scalar"` — see
+    /// (`"shuffle"` / `"scalar"` — see
     /// [`DSfa::scan_kernel`]). Lazy backends always scan scalar: their
     /// transitions materialize behind a lock, so there is no dense table
     /// to vectorize over.

@@ -243,7 +243,7 @@ impl RowIndex {
 /// builds and owns that buffer; [`from_artifact`](DSfa::from_artifact)
 /// borrows it zero-copy from a serialized artifact (typically an mmap).
 /// Either way the automaton is the same type with the same scan loops and
-/// SIMD kernels. Small derived state — the sink and accepting bitmaps and
+/// SIMD kernel. Small derived state — the sink and accepting bitmaps and
 /// the source DFA's accept sets — is always owned.
 #[derive(Clone, Debug)]
 pub struct DSfa {
@@ -278,11 +278,11 @@ pub struct DSfa {
     /// scans never do). The rows themselves stay in the mapping table,
     /// so the index costs about 20 bytes per state.
     state_index: OnceLock<RowIndex>,
-    /// SIMD kernels for this automaton, built lazily on the first scan
-    /// after runtime CPU detection (`None` when only the scalar loops
-    /// apply — no premultiplied table, unsupported CPU, or non-x86_64).
+    /// The shuffle kernel for this automaton, built lazily on the first
+    /// scan after runtime CPU detection (`None` when only the scalar
+    /// loops apply — see [`simd::shuffle_applies`]).
     #[cfg(feature = "simd")]
-    simd: OnceLock<Option<simd::SimdKernels>>,
+    simd: OnceLock<Option<simd::ShuffleKernel>>,
     dfa_start: StateId,
     dfa_accepting: Box<[bool]>,
     /// Number of original patterns compiled into the source DFA.
@@ -367,9 +367,7 @@ impl DSfa {
         // staging table for a 65k-state u16 automaton would transiently
         // double the 64 MiB ceiling just enforced.
         let mappings = 0..buf.len();
-        buf.reserve_exact(
-            num_states * (stride + if premultiply { 256 } else { 0 }) * repr.bytes() + 3,
-        );
+        buf.reserve_exact(num_states * (stride + if premultiply { 256 } else { 0 }) * repr.bytes());
         extend_ids(&mut buf, repr, table.iter().copied());
         let class_rows = mappings.end..buf.len();
         let classes = dfa.classes();
@@ -381,9 +379,6 @@ impl DSfa {
             extend_ids(&mut buf, repr, dense);
             start..buf.len()
         });
-        // The gather kernel reads a whole dword per lookup, up to three
-        // bytes past the byte table's end.
-        buf.extend_from_slice(&[0; 3]);
         Ok(DSfa::assemble(
             TableBuf::Owned(buf.into_boxed_slice()),
             repr,
@@ -668,7 +663,7 @@ impl DSfa {
             return state;
         }
         #[cfg(feature = "simd")]
-        if let Some(simd::SimdKernels::Shuffle(k)) = self.simd_kernels() {
+        if let Some(k) = self.shuffle_kernel() {
             return k.run(&self.sink, state, input);
         }
         self.scan_scalar(state, input)
@@ -723,15 +718,14 @@ impl DSfa {
     /// `run_from(state, input)` for every job. Without a premultiplied
     /// table the jobs simply run one by one.
     ///
-    /// With the `simd` feature the whole batch dispatches once to the
-    /// automaton's kernel when one applies (see
-    /// [`scan_kernel`](DSfa::scan_kernel)): the gather kernel widens the
-    /// lockstep walk to 8 lanes with vectorized table loads, the shuffle
-    /// kernel runs each job at ~1 byte/cycle.
+    /// With the `simd` feature an automaton that runs the shuffle kernel
+    /// (see [`scan_kernel`](DSfa::scan_kernel)) scans each job through it
+    /// instead: the kernel already runs at ~1 byte/cycle on a single
+    /// input, so lockstep interleaving would only add bookkeeping.
     pub fn run_from_many(&self, jobs: &[(SfaStateId, &[u8])]) -> Vec<SfaStateId> {
         #[cfg(feature = "simd")]
-        if let Some(kernels) = self.simd_kernels() {
-            return self.run_from_many_simd(kernels, jobs);
+        if self.shuffle_kernel().is_some() {
+            return jobs.iter().map(|&(s, input)| self.run_from(s, input)).collect();
         }
         self.run_from_many_scalar(jobs)
     }
@@ -764,108 +758,35 @@ impl DSfa {
         out
     }
 
-    /// The SIMD batch path behind [`run_from_many`](DSfa::run_from_many).
-    #[cfg(feature = "simd")]
-    fn run_from_many_simd(
-        &self,
-        kernels: &simd::SimdKernels,
-        jobs: &[(SfaStateId, &[u8])],
-    ) -> Vec<SfaStateId> {
-        match kernels {
-            // The shuffle kernel already saturates on a single input;
-            // lockstep interleaving would only add bookkeeping.
-            simd::SimdKernels::Shuffle(k) => jobs
-                .iter()
-                .map(
-                    |&(s, input)| {
-                        if self.sink[s as usize] {
-                            s
-                        } else {
-                            k.run(&self.sink, s, input)
-                        }
-                    },
-                )
-                .collect(),
-            simd::SimdKernels::Gather => {
-                let table = self.dense_with_tail().expect("gather kernel implies a byte table");
-                let mut out = Vec::with_capacity(jobs.len());
-                let mut groups = jobs.chunks_exact(simd::GATHER_LANES);
-                for group in groups.by_ref() {
-                    let mut f = [0 as SfaStateId; simd::GATHER_LANES];
-                    let mut inputs: [&[u8]; simd::GATHER_LANES] = [&[]; simd::GATHER_LANES];
-                    for (lane, &(s, input)) in group.iter().enumerate() {
-                        f[lane] = s;
-                        inputs[lane] = input;
-                    }
-                    let common = inputs.iter().map(|s| s.len()).min().unwrap_or(0);
-                    // SAFETY: every byte-table entry is a valid state id:
-                    // `from_dfa` writes only interned ids and
-                    // `from_artifact` validates every entry.
-                    #[allow(unsafe_code)]
-                    unsafe {
-                        simd::gather_lanes(self.repr, table, &self.sink, &mut f, &inputs, common)
-                    };
-                    for (lane, input) in inputs.iter().enumerate() {
-                        out.push(self.run_from_scalar(f[lane], &input[common..]));
-                    }
-                }
-                out.extend(
-                    groups.remainder().iter().map(|&(s, input)| self.run_from_scalar(s, input)),
-                );
-                out
-            }
-        }
-    }
-
-    /// The byte table followed by the rest of the buffer: the gather
-    /// kernel reads a whole dword per lookup, so a narrow table's last
-    /// entries read a few bytes past its end — into the three zero bytes
-    /// after a compiled table, or the mapping rows after a loaded one
-    /// (see [`simd::gather_lanes`]).
-    #[cfg(feature = "simd")]
-    #[inline]
-    fn dense_with_tail(&self) -> Option<&[u8]> {
-        let range = self.byte_table.as_ref()?;
-        Some(&self.buf.bytes()[range.start..])
-    }
-
-    /// The lazily built SIMD kernels for this automaton (`None` when the
+    /// The lazily built shuffle kernel for this automaton (`None` when the
     /// scalar loops are the only applicable path).
     #[cfg(feature = "simd")]
     #[inline]
-    fn simd_kernels(&self) -> Option<&simd::SimdKernels> {
+    fn shuffle_kernel(&self) -> Option<&simd::ShuffleKernel> {
         self.simd
-            .get_or_init(|| {
-                simd::SimdKernels::build(self.repr, self.dense_with_tail(), self.num_states)
-            })
+            .get_or_init(|| simd::ShuffleKernel::build(self.repr, self.dense(), self.num_states))
             .as_ref()
     }
 
     /// Name of the transition kernel [`run_from`](DSfa::run_from) /
     /// [`run_from_many`](DSfa::run_from_many) dispatch to on this build,
     /// CPU and automaton shape: `"shuffle"` (SSSE3 `pshufb`, `u8` repr,
-    /// ≤ 16 states, premultiplied), `"gather"` (AVX2 `vpgatherdd`, any
-    /// premultiplied automaton) or `"scalar"` (the monomorphized loops —
-    /// always the answer without the `simd` feature). Surfaced through
-    /// `SizeReport` as the `scan_kernel` JSON field.
+    /// ≤ 16 states, premultiplied) or `"scalar"` (the monomorphized loops
+    /// and the [`INTERLEAVE_LANES`]-lane lockstep walk — always the answer
+    /// without the `simd` feature). Surfaced through `SizeReport` as the
+    /// `scan_kernel` JSON field.
     pub fn scan_kernel(&self) -> &'static str {
         #[cfg(feature = "simd")]
-        {
-            simd::kernel_name(self.repr, self.dense_with_tail(), self.num_states)
+        if simd::shuffle_applies(self.repr, self.premultiplied(), self.num_states) {
+            return "shuffle";
         }
-        #[cfg(not(feature = "simd"))]
-        {
-            "scalar"
-        }
+        "scalar"
     }
 
     /// How many independent sub-chunks an *interleaving* caller should
     /// drive through one [`run_from_many`](DSfa::run_from_many) call to
     /// saturate this automaton's scan kernel on a single large haystack:
     ///
-    /// * `"gather"` kernel → 8 (one AVX2 register of lane states): the
-    ///   vector gather issues all lane loads at once, so more lanes means
-    ///   more memory-level parallelism on cache-missing tables;
     /// * scalar premultiplied → [`INTERLEAVE_LANES`] (4): the lockstep
     ///   scalar walk keeps that many dependent-load chains in flight;
     /// * `"shuffle"` kernel or no premultiplied table → 1: the shuffle
@@ -877,19 +798,9 @@ impl DSfa {
     /// `Engine::plan_chunks_interleaved` to split each worker's chunk;
     /// composing the per-sub-chunk states (Lemma 1) keeps verdicts exact.
     pub fn preferred_lanes(&self) -> usize {
-        if self.byte_table.is_none() {
-            return 1;
-        }
-        #[cfg(feature = "simd")]
-        {
-            match self.scan_kernel() {
-                "gather" => simd::GATHER_LANES,
-                "shuffle" => 1,
-                _ => INTERLEAVE_LANES,
-            }
-        }
-        #[cfg(not(feature = "simd"))]
-        {
+        if !self.premultiplied() || self.scan_kernel() == "shuffle" {
+            1
+        } else {
             INTERLEAVE_LANES
         }
     }
@@ -1374,14 +1285,14 @@ mod tests {
     /// `run_from` / `run_from_many` must return exactly what their
     /// `*_scalar` references do, whatever kernel the dispatch picks —
     /// trivial without the `simd` feature, the real agreement check with
-    /// it (shuffle on the 6-state automaton, gather on the wider ones).
-    /// Lengths cover 0, 1, the shuffle kernel's 64-byte block boundary,
-    /// lane-remainder tails and mid-input sink entry.
+    /// it (shuffle on the 6-state automaton, the scalar lanes on the wider
+    /// ones). Lengths cover 0, 1, the shuffle kernel's 64-byte block
+    /// boundary, lane-remainder tails and mid-input sink entry.
     #[test]
     fn simd_dispatch_agrees_with_scalar() {
         let automata: Vec<DSfa> = vec![
             dsfa("(ab)*").1,               // 6 states: shuffle candidate
-            dsfa("([0-4]{2}[5-9]{2})*").1, // 20 states: u8 gather candidate
+            dsfa("([0-4]{2}[5-9]{2})*").1, // 20 states: u8, scalar lanes
             DSfa::from_dfa(&cycle_dfa(300), &SfaConfig::default()).unwrap(), // u16
             DSfa::from_dfa(
                 &minimal_dfa_from_pattern("(ab)*").unwrap(),
@@ -1415,8 +1326,8 @@ mod tests {
                     sfa.run_from_scalar(sfa.initial(), input)
                 );
             }
-            // Batches of every size 0..=13 exercise both the 8-lane
-            // gather groups and the remainder path.
+            // Batches of every size 0..=13 exercise both the 4-lane
+            // lockstep groups and the remainder path.
             let jobs: Vec<(SfaStateId, &[u8])> =
                 inputs.iter().cycle().take(13).map(|v| (sfa.initial(), &v[..])).collect();
             for n in 0..=jobs.len() {
@@ -1431,6 +1342,10 @@ mod tests {
         }
     }
 
+    /// Exactly one kernel besides the scalar loops: the shuffle kernel
+    /// runs `(ab)*` (6 states, `u8`) when this build and CPU have it, and
+    /// every wider premultiplied automaton walks [`INTERLEAVE_LANES`]
+    /// scalar lanes in both feature settings.
     #[test]
     fn scan_kernel_and_preferred_lanes_are_consistent() {
         // Without a premultiplied table there is nothing to vectorize.
@@ -1440,27 +1355,23 @@ mod tests {
         assert_eq!(plain.scan_kernel(), "scalar");
         assert_eq!(plain.preferred_lanes(), 1);
 
-        // Premultiplied automata report whichever kernel this build/CPU
-        // dispatches to, and lanes consistent with it.
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        let shuffle = std::arch::is_x86_feature_detected!("ssse3");
+        #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+        let shuffle = false;
         let small = DSfa::from_dfa(&dfa, &SfaConfig::default()).unwrap();
-        assert!(small.num_states() <= 16);
-        assert!(matches!(small.scan_kernel(), "shuffle" | "gather" | "scalar"));
+        assert_eq!(small.num_states(), 6);
+        let expected = if shuffle { ("shuffle", 1) } else { ("scalar", INTERLEAVE_LANES) };
+        assert_eq!((small.scan_kernel(), small.preferred_lanes()), expected);
+        let window = dsfa("([0-4]{2}[5-9]{2})*").1;
         let wide = DSfa::from_dfa(&cycle_dfa(300), &SfaConfig::default()).unwrap();
-        assert!(matches!(wide.scan_kernel(), "gather" | "scalar"));
-        for sfa in [&small, &wide] {
-            let lanes = sfa.preferred_lanes();
-            match sfa.scan_kernel() {
-                "gather" => assert_eq!(lanes, 8),
-                "shuffle" => assert_eq!(lanes, 1),
-                _ => assert_eq!(lanes, INTERLEAVE_LANES),
-            }
-        }
-        #[cfg(not(feature = "simd"))]
-        {
-            assert_eq!(small.scan_kernel(), "scalar");
-            assert_eq!(small.preferred_lanes(), INTERLEAVE_LANES);
+        assert_eq!((window.num_states(), window.repr()), (20, StateIdRepr::U8));
+        assert_eq!(wide.repr(), StateIdRepr::U16);
+        for sfa in [&window, &wide] {
+            assert_eq!((sfa.scan_kernel(), sfa.preferred_lanes()), ("scalar", INTERLEAVE_LANES));
         }
     }
+
     /// Rows that share a hash are told apart by comparing them: every
     /// row below is indexed under one hash and each is still found.
     #[test]

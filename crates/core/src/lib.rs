@@ -240,9 +240,9 @@ mod proptests {
             }
         }
 
-        /// The SIMD kernels (when the `simd` feature and the CPU enable
-        /// them — without either, dispatch and scalar are the same code
-        /// path and this degenerates to a smoke test) return exactly the
+        /// The SIMD kernel (when the `simd` feature and the CPU enable
+        /// it — without either, dispatch and scalar are the same code
+        /// path and this degenerates to a smoke test) returns exactly the
         /// states of the scalar loops: single scans via `run_from` vs
         /// `run_from_scalar`, batches via `run_from_many` vs
         /// `run_from_many_scalar`, across every repr × premultiply

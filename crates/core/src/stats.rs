@@ -100,8 +100,8 @@ pub struct SizeReport {
     /// per-shard state budget bounds (fallback shards excepted).
     pub max_shard_dfa_states: usize,
     /// The transition kernel scans of this automaton dispatch to on the
-    /// reporting build and CPU: `"shuffle"`, `"gather"` or `"scalar"`
-    /// (see [`DSfa::scan_kernel`]) — `"mixed"` for a combined report
+    /// reporting build and CPU: `"shuffle"` or `"scalar"` (see
+    /// [`DSfa::scan_kernel`]) — `"mixed"` for a combined report
     /// whose shards disagree. Machine-dependent by design: the same
     /// artifact reports `"scalar"` where the `simd` feature or the CPU
     /// support is absent.
@@ -519,11 +519,7 @@ mod tests {
     fn scan_kernel_field_serializes_and_combines() {
         let r = report("(ab)*");
         // Whatever this build/CPU dispatches to, the report names it.
-        assert!(
-            matches!(r.scan_kernel.as_str(), "shuffle" | "gather" | "scalar"),
-            "{}",
-            r.scan_kernel
-        );
+        assert!(matches!(r.scan_kernel.as_str(), "shuffle" | "scalar"), "{}", r.scan_kernel);
         #[cfg(not(feature = "simd"))]
         assert_eq!(r.scan_kernel, "scalar");
         let json = r.to_json();

@@ -12,7 +12,7 @@
 //! ([`StateIdRepr`]). These are exactly the SFA sections `sfa-serialize`
 //! writes, so loading an artifact hands its buffer to
 //! [`DSfa::from_artifact`](crate::DSfa::from_artifact) as is — no copy and
-//! no second automaton type: the same scan loops and SIMD kernels run on
+//! no second automaton type: the same scan loops and SIMD kernel run on
 //! compiled and loaded automata alike. Reading ids out of bytes rather
 //! than typed slices needs no alignment and no unsafe code; a
 //! fixed-width little-endian read compiles to one plain load.

@@ -9,8 +9,7 @@
 //! the plan carries an interleave lane count
 //! ([`ChunkPlan::lanes`](crate::pool::ChunkPlan::lanes) > 1): the
 //! worker's chunk is cut into `L` sub-chunks that advance in lockstep
-//! through one batched scan, hiding transition-table load latency
-//! (scalar) or filling SIMD gather lanes.
+//! through one batched scan, hiding transition-table load latency.
 
 /// Splits `input` into at most `chunks` contiguous slices of nearly equal
 /// length (the first `len % chunks` slices are one byte longer).
@@ -118,9 +117,9 @@ where
 /// into per-worker jobs big enough to amortize a pool hand-off. A packed
 /// group of small haystacks is a ready-made batch for the interleaved
 /// `run_from_many` scan (each item is its own lane), and backends that
-/// interleave `lanes` independent inputs per scan (the SIMD gather
-/// kernels walk [`INTERLEAVE_LANES`] haystacks in lockstep) only engage
-/// the wide kernel on full lane groups — byte-balanced groups that
+/// interleave `lanes` independent inputs per scan (the scalar lockstep
+/// walk advances [`INTERLEAVE_LANES`] haystacks at once) only engage
+/// the interleaved walk on full lane groups — byte-balanced groups that
 /// strand one or two items at the tail of *every* group would keep such
 /// batches on the scalar remainder path. So every group except possibly
 /// the last carries full lane complements, and the byte bound becomes

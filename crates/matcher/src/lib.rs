@@ -85,9 +85,9 @@
 //! so verdicts are bit-for-bit those of a sequential scan.
 //! [`Engine::plan_chunks_interleaved`](pool::Engine::plan_chunks_interleaved)
 //! clamps the requested lane count (the backend's
-//! [`preferred_lanes`](SfaBackend::preferred_lanes): 8 for the SIMD
-//! gather kernel, 4 for the scalar lockstep loop, 1 otherwise) against
-//! the same [`MIN_POOL_CHUNK_BYTES`] floor that gates pool hand-off —
+//! [`preferred_lanes`](SfaBackend::preferred_lanes): 4 for the scalar
+//! lockstep loop, 1 otherwise) against the same
+//! [`MIN_POOL_CHUNK_BYTES`] floor that gates pool hand-off —
 //! a lane below ~4 KiB costs more in per-lane tail handling and state
 //! composition than the interleaving recovers, so the lane count
 //! degrades toward `1` (never `0`) exactly like the thread count does.

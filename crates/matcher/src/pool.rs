@@ -356,15 +356,14 @@ impl Engine {
     /// up to `max_lanes` interleaved sub-chunks per worker chunk
     /// (`ChunkPlan::lanes`): each worker splits its slice of the haystack
     /// into that many independent lanes, drives them through one batched
-    /// `run_from_many` scan — lockstep scalar or SIMD-gather, whichever
-    /// the backend's kernel is — and composes the lane states back into
-    /// the chunk state it would have produced anyway (Theorem 3 at a
-    /// second, intra-worker level).
+    /// `run_from_many` scan (the scalar lockstep walk) and composes the
+    /// lane states back into the chunk state it would have produced
+    /// anyway (Theorem 3 at a second, intra-worker level).
     ///
     /// `max_lanes` comes from the backend
-    /// (`SfaBackend::preferred_lanes`): 8 for the AVX2 gather kernel, 4
-    /// for the scalar lockstep walk, 1 when splitting cannot help
-    /// (shuffle kernel, lazy backend, no premultiplied table). The plan
+    /// (`SfaBackend::preferred_lanes`): 4 for the scalar lockstep walk, 1
+    /// when splitting cannot help (shuffle kernel, lazy backend, no
+    /// premultiplied table). The plan
     /// clamps it so every lane keeps at least [`MIN_POOL_CHUNK_BYTES`] —
     /// below that floor the O(|D|) compositions and ragged tails outweigh
     /// the latency hiding, the same economics as the inline floor for

@@ -532,7 +532,7 @@ impl Regex {
     /// big transition tables are borrowed from `data`, not rebuilt and
     /// not copied, so cold start is a validation pass instead of a
     /// compile. The result is an ordinary eager backend: it scans with
-    /// the same SIMD kernels and lanes as the regex that wrote the
+    /// the same SIMD kernel and lanes as the regex that wrote the
     /// artifact. Corrupt or version-skewed artifacts fail closed with
     /// the typed [`Error::ArtifactCorrupt`] /
     /// [`Error::ArtifactVersionMismatch`] variants.
@@ -801,11 +801,10 @@ impl Regex {
     /// scanned through the backend's lanes
     /// ([`SfaBackend::run_from_many`]): several haystacks walk the SFA
     /// from the identity state in lockstep, which hides table-load
-    /// latency and fills the SIMD gather kernel. A haystack large enough
-    /// that a plain [`is_match`](Regex::is_match) would cut it into pool
-    /// chunks runs Algorithm 5 across the workers instead, so a
-    /// size-skewed batch never serializes its biggest element on one
-    /// worker.
+    /// latency. A haystack large enough that a plain
+    /// [`is_match`](Regex::is_match) would cut it into pool chunks runs
+    /// Algorithm 5 across the workers instead, so a size-skewed batch
+    /// never serializes its biggest element on one worker.
     ///
     /// The groups drain through the engine's workers together. A batch
     /// runs inline on the calling thread instead when

@@ -39,7 +39,7 @@
 //! reason it is untouched by the packed
 //! [`StateIdRepr`](sfa_core::StateIdRepr) tables — its per-chunk state
 //! vectors are over the DFA's `u32` state space, and the SIMD transition
-//! kernels and intra-chunk lane interleaving
+//! kernel and intra-chunk lane interleaving
 //! ([`ChunkPlan::lanes`](crate::pool::ChunkPlan::lanes)) likewise do not
 //! apply here: a speculative worker already advances `|entry|` states per
 //! byte, so it has no idle lanes to fill.
