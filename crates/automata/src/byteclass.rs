@@ -73,6 +73,27 @@ impl ByteClasses {
         ByteClasses { map, count }
     }
 
+    /// The common refinement of two partitions: bytes share a class when
+    /// they share one in both. Classes are numbered by first byte, like
+    /// [`from_sets`](ByteClasses::from_sets), so the refinement of the
+    /// partitions of two set lists equals the partition of the lists
+    /// concatenated.
+    pub fn refine(&self, other: &ByteClasses) -> ByteClasses {
+        let mut map = [0u16; 256];
+        let mut seen: Vec<(u16, u16)> = Vec::new();
+        for (b, slot) in map.iter_mut().enumerate() {
+            let key = (self.map[b], other.map[b]);
+            *slot = match seen.iter().position(|&k| k == key) {
+                Some(class) => class as u16,
+                None => {
+                    seen.push(key);
+                    (seen.len() - 1) as u16
+                }
+            };
+        }
+        ByteClasses { map, count: seen.len() as u16 }
+    }
+
     /// Reconstructs a partition from a raw byte → class map (the inverse
     /// of reading [`class_of`](ByteClasses::class_of) for all 256 bytes —
     /// how a serialized automaton artifact stores its classes). Returns
@@ -222,6 +243,18 @@ mod tests {
         for (class, &rep) in reps.iter().enumerate() {
             assert_eq!(classes.class_of(rep) as usize, class);
         }
+    }
+
+    #[test]
+    fn refinement_equals_the_partition_of_both_set_lists() {
+        let a = [ByteSet::range(b'a', b'm'), ByteSet::singleton(b'0')];
+        let b = [ByteSet::range(b'h', b'z'), ByteSet::range(b'0', b'9')];
+        let both: Vec<&ByteSet> = a.iter().chain(&b).collect();
+        let refined = ByteClasses::from_sets(a.iter()).refine(&ByteClasses::from_sets(b.iter()));
+        assert_eq!(refined, ByteClasses::from_sets(both));
+        assert_eq!(ByteClasses::single().refine(&ByteClasses::single()), ByteClasses::single());
+        let identity = ByteClasses::identity();
+        assert_eq!(identity.refine(&ByteClasses::from_sets(a.iter())), identity);
     }
 
     #[test]

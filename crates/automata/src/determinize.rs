@@ -142,6 +142,96 @@ pub fn determinize(nfa: &Nfa, config: &DfaConfig) -> Result<Dfa, CompileError> {
     ))
 }
 
+/// Determinizes the tagged union of two branch lists from their own
+/// DFAs, without building or stepping the union's NFA.
+///
+/// `a` and `b` are each the subset construction of one branch list: a
+/// single branch's [`Nfa::from_ast`], several branches'
+/// [`Nfa::from_asts`], or an earlier `determinize_union`. The result is
+/// exactly what `determinize(&Nfa::from_asts(a's branches ++ b's))`
+/// returns: the same byte classes, transitions, start and accept sets
+/// (`b`'s pattern ids shifted by `a.pattern_count()`), and
+/// [`CompileError::TooManyStates`] under the same `config.max_states`.
+/// Both operands must have been built under `config`'s alphabet setting.
+///
+/// Why the product is exact: the union NFA is a fresh ε-start plus the
+/// disjoint states of both branch lists. After a nonempty word its
+/// subset is the union of what each side reached, and each side's DFA
+/// gives every subset it reaches its own id, so union subsets and
+/// reachable pairs `(δ_a(w), δ_b(w))` correspond one to one. The start
+/// subset alone holds the fresh ε-start, which no word returns to: it
+/// stays its own state 0 even where the pair of the two start states
+/// recurs. The union's byte sets are both sides' sets, so its classes
+/// are the [common refinement](ByteClasses::refine) of theirs. States
+/// are explored breadth-first by id and class, the order of
+/// [`determinize`], so the ids coincide too.
+pub fn determinize_union(a: &Dfa, b: &Dfa, config: &DfaConfig) -> Result<Dfa, CompileError> {
+    let classes = a.classes().refine(b.classes());
+    debug_assert!(config.compress_alphabet || classes.count() == 256);
+    let stride = classes.count();
+    let (class_a, class_b): (Vec<u16>, Vec<u16>) = classes
+        .representatives()
+        .iter()
+        .map(|&r| (a.classes().class_of(r), b.classes().class_of(r)))
+        .unzip();
+    let shift = a.pattern_count() as PatternId;
+    let pattern_count = a.pattern_count() + b.pattern_count();
+
+    // `pairs[s]` is the pair of operand states that state `s` stands for.
+    // State 0's pair, the two start states, never enters `ids`, so the
+    // pair recurring after a nonempty word becomes a state of its own.
+    let mut pairs: Vec<(StateId, StateId)> = Vec::new();
+    let mut ids: HashMap<(StateId, StateId), StateId> = HashMap::new();
+    let mut table: Vec<StateId> = Vec::new();
+    let mut accept_index: Vec<u32> = Vec::new();
+    // A pair's accept set is determined by its operands' accept-set
+    // indices, and distinct index pairs give distinct unions (the two
+    // sides' pattern ids are disjoint), so interning by index pair hands
+    // out the ids `determinize` gives the sets themselves.
+    let mut accept_sets: Vec<PatternSet> = vec![PatternSet::new(pattern_count)];
+    let mut accept_set_ids: HashMap<(u32, u32), u32> = HashMap::from([((0, 0), 0)]);
+    let mut add_state = |pair: (StateId, StateId),
+                         pairs: &mut Vec<(StateId, StateId)>,
+                         accept_index: &mut Vec<u32>|
+     -> Result<StateId, CompileError> {
+        let id = pairs.len() as StateId;
+        if pairs.len() >= config.max_states {
+            return Err(CompileError::TooManyStates { limit: config.max_states });
+        }
+        let key = (a.accept_indices()[pair.0 as usize], b.accept_indices()[pair.1 as usize]);
+        let set_id = *accept_set_ids.entry(key).or_insert_with(|| {
+            let pats =
+                a.accept_set(pair.0).iter().chain(b.accept_set(pair.1).iter().map(|p| p + shift));
+            accept_sets.push(PatternSet::from_iter(pattern_count, pats));
+            (accept_sets.len() - 1) as u32
+        });
+        accept_index.push(set_id);
+        pairs.push(pair);
+        Ok(id)
+    };
+
+    add_state((a.start(), b.start()), &mut pairs, &mut accept_index)?;
+    let mut processed = 0usize;
+    while processed < pairs.len() {
+        let (p, q) = pairs[processed];
+        processed += 1;
+        for (&ca, &cb) in class_a.iter().zip(&class_b) {
+            let next = (a.next_by_class(p, ca), b.next_by_class(q, cb));
+            let id = match ids.get(&next) {
+                Some(&id) => id,
+                None => {
+                    let id = add_state(next, &mut pairs, &mut accept_index)?;
+                    ids.insert(next, id);
+                    id
+                }
+            };
+            table.push(id);
+        }
+    }
+    debug_assert_eq!(table.len(), pairs.len() * stride);
+    Ok(Dfa::from_parts_with_patterns(classes, table, accept_index, accept_sets, 0, pattern_count))
+}
+
 /// Convenience: AST → NFA → DFA.
 pub fn dfa_from_ast(ast: &Ast, config: &DfaConfig) -> Result<Dfa, CompileError> {
     let nfa = Nfa::from_ast(ast)?;
@@ -305,6 +395,53 @@ mod tests {
             assert_eq!(d.is_accepting(q), !set.is_empty());
             assert_eq!(set.len(), d.is_accepting(q) as usize);
         }
+    }
+
+    /// `(ab)*` built by hand with its start state as the accept state:
+    /// "ab" returns its DFA to state 0, which the AST compiler never does.
+    fn recurring_start(accept: StateId) -> Nfa {
+        use crate::nfa::NfaState;
+        use sfa_regex_syntax::ByteSet;
+        let state = |byte, to| NfaState {
+            transitions: vec![(ByteSet::singleton(byte), to)],
+            ..Default::default()
+        };
+        Nfa::from_parts(vec![state(b'a', 1), state(b'b', 0)], 0, vec![accept])
+    }
+
+    #[test]
+    fn union_product_keeps_the_fresh_start_apart_from_a_recurring_pair() {
+        let cfg = DfaConfig::default();
+        let (left, right) = (recurring_start(0), recurring_start(1));
+        let a = determinize(&left, &cfg).unwrap();
+        let b = determinize(&right, &cfg).unwrap();
+        assert_eq!(a.run(b"ab"), a.start(), "the left operand's start recurs");
+        let product = determinize_union(&a, &b, &cfg).unwrap();
+        let expected = determinize(&Nfa::tagged_union(&[&left, &right]), &cfg).unwrap();
+        assert_eq!(product, expected);
+        let identity = DfaConfig { compress_alphabet: false, ..DfaConfig::default() };
+        let (a256, b256) = (determinize(&left, &identity), determinize(&right, &identity));
+        assert_eq!(
+            determinize_union(&a256.unwrap(), &b256.unwrap(), &identity),
+            determinize(&Nfa::tagged_union(&[&left, &right]), &identity)
+        );
+        // The pair of start states after "ab" is a state of its own.
+        assert_ne!(product.run(b"ab"), product.start());
+        assert_eq!(product.matching_patterns(b"ab").iter().collect::<Vec<_>>(), [0]);
+        assert_eq!(product.matching_patterns(b"a").iter().collect::<Vec<_>>(), [1]);
+
+        // A one-branch AST operand on the right, and the limit edge: the
+        // exact state count passes, one less fails like `determinize`.
+        let ast = sfa_regex_syntax::parse("b(ab)*").unwrap();
+        let c = determinize(&Nfa::from_ast(&ast).unwrap(), &cfg).unwrap();
+        let union = Nfa::tagged_union(&[&left, &Nfa::from_ast(&ast).unwrap()]);
+        let expected = determinize(&union, &cfg).unwrap();
+        let n = expected.num_states();
+        let at = |limit| DfaConfig { max_states: limit, ..DfaConfig::default() };
+        assert_eq!(determinize_union(&a, &c, &at(n)), Ok(expected));
+        let err = CompileError::TooManyStates { limit: n - 1 };
+        assert_eq!(determinize_union(&a, &c, &at(n - 1)), Err(err.clone()));
+        assert_eq!(determinize(&union, &at(n - 1)), Err(err));
     }
 
     #[test]

@@ -11,7 +11,10 @@ use crate::pattern::PatternSet;
 /// class. With the identity byte-class partition this is exactly the
 /// paper's layout ("256 symbols times 4 bytes" per state); with alphabet
 /// compression the rows shrink to the number of distinct classes.
-#[derive(Clone, Debug)]
+///
+/// Equality is structural: the same classes, tables, start and accept
+/// sets, not merely the same language (see [`crate::equivalence`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Dfa {
     classes: ByteClasses,
     stride: usize,

@@ -43,7 +43,7 @@ pub mod sample;
 pub mod stateset;
 
 pub use byteclass::ByteClasses;
-pub use determinize::{determinize, dfa_from_pattern, DfaConfig};
+pub use determinize::{determinize, determinize_union, dfa_from_pattern, DfaConfig};
 pub use dfa::Dfa;
 pub use error::CompileError;
 pub use minimize::{minimal_dfa_from_pattern, minimize};
@@ -107,7 +107,7 @@ mod proptests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sfa_regex_syntax::generator::{sample_match, AstGenerator, GeneratorConfig};
-    use sfa_regex_syntax::ByteSet;
+    use sfa_regex_syntax::{Ast, ByteSet};
 
     fn small_generator() -> AstGenerator {
         AstGenerator::with_config(GeneratorConfig {
@@ -170,6 +170,42 @@ mod proptests {
             if let Ok(sampler) = DfaSampler::new(&dfa) {
                 let w = sampler.sample(20, &mut rng);
                 prop_assert!(nfa.accepts(&w), "DFA sample {:?} rejected by NFA", w);
+            }
+        }
+
+        /// The product of two branch lists' DFAs is the subset
+        /// construction of their tagged union in every field, for 1–4
+        /// branches a side, whole-input or `Contains`-wrapped; and it
+        /// fails on the same state limit.
+        #[test]
+        fn union_product_equals_determinize(
+            seed in any::<u64>(),
+            left in 1usize..5,
+            right in 1usize..5,
+            contains in any::<bool>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let any_star = || Ast::star(Ast::Class(sfa_regex_syntax::class::perl::any()));
+            let branches: Vec<Ast> = (0..left + right)
+                .map(|_| small_generator().generate(&mut rng))
+                .map(|ast| if contains { Ast::concat(vec![any_star(), ast, any_star()]) } else { ast })
+                .collect();
+            let at = |max_states| DfaConfig { max_states, ..DfaConfig::default() };
+            let cfg = at(1_500);
+            let side = |bs: &[Ast]| {
+                let nfa = match bs { [one] => Nfa::from_ast(one), many => Nfa::from_asts(many) }?;
+                determinize(&nfa, &cfg)
+            };
+            let (Ok(a), Ok(b)) = (side(&branches[..left]), side(&branches[left..])) else {
+                return Ok(());
+            };
+            let expected = determinize(&Nfa::from_asts(&branches).unwrap(), &cfg);
+            prop_assert_eq!(determinize_union(&a, &b, &cfg), expected.clone());
+            if let Ok(dfa) = expected {
+                let n = dfa.num_states();
+                prop_assert_eq!(determinize_union(&a, &b, &at(n)), Ok(dfa));
+                let err = Err(CompileError::TooManyStates { limit: n - 1 });
+                prop_assert_eq!(determinize_union(&a, &b, &at(n - 1)), err);
             }
         }
 

@@ -432,6 +432,31 @@ impl Compiler {
 }
 
 #[cfg(test)]
+impl Nfa {
+    /// The tagged union of whole automata, shaped like
+    /// [`Nfa::from_asts`]: a fresh ε-start, then each part's states, its
+    /// pattern tags shifted past the parts before it. Lets tests build
+    /// the union of hand-made automata, whose start states may recur.
+    pub(crate) fn tagged_union(parts: &[&Nfa]) -> Nfa {
+        let mut states = vec![NfaState::default()];
+        let (mut accepting, mut accept_pattern, mut pattern_count) = (vec![], vec![], 0);
+        for part in parts {
+            let offset = states.len() as StateId;
+            states[0].epsilon.push(part.start + offset);
+            states.extend(part.states.iter().map(|s| NfaState {
+                transitions: s.transitions.iter().map(|&(set, t)| (set, t + offset)).collect(),
+                epsilon: s.epsilon.iter().map(|&t| t + offset).collect(),
+            }));
+            accepting.extend(part.accepting.iter().map(|&q| q + offset));
+            accept_pattern
+                .extend(part.accept_pattern.iter().map(|&p| p + pattern_count as PatternId));
+            pattern_count += part.pattern_count;
+        }
+        Nfa { states, start: 0, accepting, accept_pattern, pattern_count }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 

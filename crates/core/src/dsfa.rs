@@ -17,7 +17,7 @@ use crate::table::{extend_ids, ids, read_repr, ArtifactTables, PackedId, RawTabl
 use crate::SfaConfig;
 use sfa_automata::{ByteClasses, CompileError, Dfa, PatternSet, StateId};
 use std::collections::hash_map::{Entry, HashMap, RandomState};
-use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::ops::Range;
 use std::sync::OnceLock;
 
@@ -98,6 +98,9 @@ impl std::fmt::Display for StateIdRepr {
     }
 }
 
+/// How many DFA states [`DSfa::states_lower_bound`] follows.
+pub const BOUND_PROBES: usize = 32;
+
 /// Number of independent inputs [`DSfa::run_from_many`] walks in lockstep.
 ///
 /// Four dependent table loads in flight cover typical L2 latency without
@@ -177,14 +180,15 @@ fn scan_dense_lanes<T: PackedId>(
     }
 }
 
-/// Mapping rows by hash: the interning index of [`DSfa::from_dfa`] and
-/// the index behind [`DSfa::state_of`]. Rows are hashed with a randomly
-/// keyed SipHash, like any `HashMap` key, so patterns cannot be crafted
-/// to make rows collide; the map then uses that hash as is. A hit is
-/// confirmed by comparing the stored row, so a collision costs a
-/// comparison, never a wrong state.
+/// Mapping rows by hash: the interning index of [`DSfa::from_dfa`],
+/// [`DSfa::states_lower_bound`] and the lazy cache, and the index behind
+/// [`DSfa::state_of`]. The rows themselves stay in their owner's table.
+/// Rows are hashed with a randomly keyed SipHash, like any `HashMap` key,
+/// so patterns cannot be crafted to make rows collide; the map then uses
+/// that hash as is. A hit is confirmed by comparing the stored row, so a
+/// collision costs a comparison, never a wrong state.
 #[derive(Clone, Debug, Default)]
-struct RowIndex {
+pub(crate) struct RowIndex {
     hasher: RandomState,
     first: HashMap<u64, SfaStateId, BuildHasherDefault<KeyIsHash>>,
     /// States whose row hash was already taken by a different row.
@@ -211,12 +215,12 @@ impl Hasher for KeyIsHash {
 
 impl RowIndex {
     /// The hash a row is indexed under.
-    fn hash(&self, row: &[u8]) -> u64 {
+    pub(crate) fn hash<T: Hash + ?Sized>(&self, row: &T) -> u64 {
         self.hasher.hash_one(row)
     }
 
     /// The indexed state whose row hashes to `hash` and is `same`.
-    fn find(&self, hash: u64, same: impl Fn(SfaStateId) -> bool) -> Option<SfaStateId> {
+    pub(crate) fn find(&self, hash: u64, same: impl Fn(SfaStateId) -> bool) -> Option<SfaStateId> {
         let hit = *self.first.get(&hash)?;
         if same(hit) {
             Some(hit)
@@ -226,7 +230,7 @@ impl RowIndex {
     }
 
     /// Indexes state `s`, whose row hashes to `hash`.
-    fn insert(&mut self, hash: u64, s: SfaStateId) {
+    pub(crate) fn insert(&mut self, hash: u64, s: SfaStateId) {
         match self.first.entry(hash) {
             Entry::Vacant(slot) => {
                 slot.insert(s);
@@ -388,6 +392,56 @@ impl DSfa {
             mappings,
             dfa,
         ))
+    }
+
+    /// A lower bound on the number of states [`from_dfa`](DSfa::from_dfa)
+    /// would build, found without building them; it stops counting at
+    /// `cap + 1`.
+    ///
+    /// It follows [`BOUND_PROBES`] DFA states, the start state and ids
+    /// evenly spaced after it, or every state of a smaller DFA. Each SFA
+    /// state is a mapping `f`, and the tuple of its images
+    /// `(f(p₁), …, f(p₃₂))` steps by the DFA alone, so the tuples
+    /// reachable from the probes themselves are the projections of the
+    /// reachable mappings: there are at most as many. With every state
+    /// as a probe the tuple is the mapping itself, so the count is exact.
+    /// Each tuple holds 32 ids where a mapping holds `|D|`, so for
+    /// `|D| > 32` the count costs at most `32/|D|` of the eager build in
+    /// time and memory. That is when the matcher's `BackendChoice::Auto`
+    /// asks for it, to go straight to the lazy backend once the bound
+    /// exceeds the cap.
+    pub fn states_lower_bound(dfa: &Dfa, cap: usize) -> usize {
+        let (d, stride) = (dfa.num_states(), dfa.num_classes());
+        let probes: Vec<StateId> = if d <= BOUND_PROBES {
+            (0..d as StateId).collect()
+        } else {
+            let start = dfa.start() as usize;
+            (0..BOUND_PROBES).map(|k| ((start + k * d / BOUND_PROBES) % d) as StateId).collect()
+        };
+        let k = probes.len();
+        let mut tuples: Vec<StateId> = Vec::new();
+        let mut index = RowIndex::default();
+        let mut intern = |tuple: &[StateId], tuples: &mut Vec<StateId>| {
+            let hash = index.hash(tuple);
+            let same = |s: SfaStateId| tuples[s as usize * k..][..k] == *tuple;
+            if index.find(hash, same).is_none() {
+                index.insert(hash, (tuples.len() / k) as SfaStateId);
+                tuples.extend_from_slice(tuple);
+            }
+        };
+        intern(&probes, &mut tuples);
+        let mut next = probes;
+        let mut processed = 0;
+        while processed < tuples.len() / k && tuples.len() / k <= cap {
+            for class in 0..stride as u16 {
+                for (t, &q) in next.iter_mut().zip(&tuples[processed * k..][..k]) {
+                    *t = dfa.next_by_class(q, class);
+                }
+                intern(&next, &mut tuples);
+            }
+            processed += 1;
+        }
+        (tuples.len() / k).min(cap.saturating_add(1))
     }
 
     /// Assembles an automaton over tables loaded zero-copy from an
@@ -1369,6 +1423,21 @@ mod tests {
         assert_eq!(wide.repr(), StateIdRepr::U16);
         for sfa in [&window, &wide] {
             assert_eq!((sfa.scan_kernel(), sfa.preferred_lanes()), ("scalar", INTERLEAVE_LANES));
+        }
+    }
+
+    /// On the Example 3 family (Fact 1 of the paper) the 32 probes of a
+    /// 64- to 256-state DFA already tell every mapping apart: the bound is
+    /// the eager state count, and a smaller cap stops it at cap + 1.
+    #[test]
+    fn lower_bound_is_exact_on_example3() {
+        for (n, states) in [(6usize, 121usize), (7, 248), (8, 503)] {
+            let (dfa, sfa) = dsfa(&format!("[ap]*[al][alp]{{{}}}", n - 2));
+            assert!(dfa.num_states() > BOUND_PROBES, "n = {n}");
+            assert_eq!(sfa.num_states(), states, "n = {n}");
+            assert_eq!(DSfa::states_lower_bound(&dfa, usize::MAX), states, "n = {n}");
+            assert_eq!(DSfa::states_lower_bound(&dfa, states - 1), states, "n = {n}");
+            assert_eq!(DSfa::states_lower_bound(&dfa, states / 2), states / 2 + 1, "n = {n}");
         }
     }
 

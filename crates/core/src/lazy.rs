@@ -56,10 +56,9 @@
 //! 4× width costs little in practice; [`SfaConfig::repr`](crate::SfaConfig)
 //! is therefore ignored here.
 
-use crate::dsfa::SfaStateId;
+use crate::dsfa::{RowIndex, SfaStateId};
 use crate::mapping::Transformation;
 use sfa_automata::{CompileError, Dfa, PatternSet, StateId};
-use std::collections::HashMap;
 use std::sync::RwLock;
 
 /// A lazily constructed D-SFA. See the [module docs](self).
@@ -77,13 +76,28 @@ pub struct LazyDSfa {
 
 #[derive(Debug, Clone)]
 struct Inner {
-    ids: HashMap<Transformation, SfaStateId>,
-    mappings: Vec<Transformation>,
+    /// The state mappings, `|D|` DFA state ids per state: the one copy of
+    /// each, found by hash through `index` (about 20 bytes per state),
+    /// as in the eager construction.
+    maps: Vec<StateId>,
+    index: RowIndex,
     /// Row-major table like the eager D-SFA, but entries may be `NONE`
     /// (not yet computed).
     table: Vec<SfaStateId>,
     accepting: Vec<bool>,
     sink: Vec<bool>,
+}
+
+impl Inner {
+    /// The mapping row of state `s` over `d` DFA states.
+    fn row(&self, s: SfaStateId, d: usize) -> &[StateId] {
+        &self.maps[s as usize * d..][..d]
+    }
+
+    /// The materialized state whose mapping row is `row`, if any.
+    fn find(&self, row: &[StateId]) -> Option<SfaStateId> {
+        self.index.find(self.index.hash(row), |s| self.row(s, row.len()) == row)
+    }
 }
 
 const NONE: SfaStateId = SfaStateId::MAX;
@@ -108,19 +122,18 @@ impl LazyDSfa {
         let loop_states: Box<[bool]> = (0..n as StateId)
             .map(|q| (0..stride as u16).all(|c| dfa.next_by_class(q, c) == q))
             .collect();
-        let identity = Transformation::identity(n);
-        let accepting0 = dfa.is_accepting(identity.apply(dfa.start()));
-        let sink0 = loop_states.iter().all(|&l| l);
-        let mut ids = HashMap::new();
-        ids.insert(identity.clone(), 0);
         let inner = Inner {
-            ids,
-            mappings: vec![identity],
-            table: vec![NONE; stride],
-            accepting: vec![accepting0],
-            sink: vec![sink0],
+            maps: Vec::new(),
+            index: RowIndex::default(),
+            table: Vec::new(),
+            accepting: Vec::new(),
+            sink: Vec::new(),
         };
-        LazyDSfa { dfa, loop_states, inner: RwLock::new(inner) }
+        let lazy = LazyDSfa { dfa, loop_states, inner: RwLock::new(inner) };
+        let identity: Vec<StateId> = (0..n as StateId).collect();
+        let initial = lazy.intern_locked(&mut lazy.inner.write().expect(POISONED), &identity);
+        debug_assert_eq!(initial, lazy.initial());
+        lazy
     }
 
     /// Convenience: pattern → minimal DFA → lazy D-SFA.
@@ -144,7 +157,7 @@ impl LazyDSfa {
     /// [`DSfa::num_states`](crate::DSfa::num_states) — a lower bound on
     /// `|S_d|` that grows as inputs visit new transformations).
     pub fn num_states_constructed(&self) -> usize {
-        self.inner.read().expect(POISONED).mappings.len()
+        self.inner.read().expect(POISONED).accepting.len()
     }
 
     /// Number of states of the source DFA.
@@ -204,40 +217,40 @@ impl LazyDSfa {
         self.inner.read().expect(POISONED).sink[state as usize]
     }
 
-    /// The mapping carried by a state (cloned out of the cache).
+    /// The mapping carried by a state (copied out of the cache).
     pub fn mapping(&self, state: SfaStateId) -> Transformation {
-        self.inner.read().expect(POISONED).mappings[state as usize].clone()
+        let inner = self.inner.read().expect(POISONED);
+        Transformation::from_vec(inner.row(state, self.num_dfa_states()).to_vec())
     }
 
     /// Applies the mapping of `state` to a single DFA state — the
-    /// `f(q)` lookup of the sequential reduction, without cloning the
+    /// `f(q)` lookup of the sequential reduction, without copying the
     /// mapping out of the cache.
     pub fn apply(&self, state: SfaStateId, q: StateId) -> StateId {
-        self.inner.read().expect(POISONED).mappings[state as usize].apply(q)
+        self.inner.read().expect(POISONED).row(state, self.num_dfa_states())[q as usize]
     }
 
-    /// Looks up the state id of an already-materialized transformation.
-    ///
-    /// Unlike the eager [`DSfa::state_of`](crate::DSfa::state_of) (which
-    /// builds its index lazily on first use), the lazy cache's interning
-    /// map *is* the index, so this is always one hash lookup.
+    /// Looks up the state id of an already-materialized transformation:
+    /// one hash lookup in the interning index.
     pub fn state_of(&self, mapping: &Transformation) -> Option<SfaStateId> {
-        self.inner.read().expect(POISONED).ids.get(mapping).copied()
+        if mapping.degree() != self.num_dfa_states() {
+            return None;
+        }
+        self.inner.read().expect(POISONED).find(mapping.as_slice())
     }
 
-    /// Interns a transformation, materializing a new state if the cache
-    /// has not seen it yet. Must be called with the write lock held.
-    fn intern_locked(&self, inner: &mut Inner, f: Transformation) -> SfaStateId {
-        if let Some(&id) = inner.ids.get(&f) {
+    /// Interns a mapping row, materializing a new state if the cache has
+    /// not seen it yet. Must be called with the write lock held.
+    fn intern_locked(&self, inner: &mut Inner, row: &[StateId]) -> SfaStateId {
+        let hash = inner.index.hash(row);
+        if let Some(id) = inner.index.find(hash, |s| inner.row(s, row.len()) == row) {
             return id;
         }
-        let id = inner.mappings.len() as SfaStateId;
-        let accepting = self.dfa.is_accepting(f.apply(self.dfa.start()));
-        let sink = f.as_slice().iter().all(|&q| self.loop_states[q as usize]);
-        inner.ids.insert(f.clone(), id);
-        inner.mappings.push(f);
-        inner.accepting.push(accepting);
-        inner.sink.push(sink);
+        let id = inner.accepting.len() as SfaStateId;
+        inner.index.insert(hash, id);
+        inner.maps.extend_from_slice(row);
+        inner.accepting.push(self.dfa.is_accepting(row[self.dfa.start() as usize]));
+        inner.sink.push(row.iter().all(|&q| self.loop_states[q as usize]));
         inner.table.extend(std::iter::repeat_n(NONE, self.dfa.num_classes()));
         id
     }
@@ -266,14 +279,12 @@ impl LazyDSfa {
         if cached != NONE {
             return cached;
         }
-        let next = Transformation::from_vec(
-            inner.mappings[state as usize]
-                .as_slice()
-                .iter()
-                .map(|&q| self.dfa.next_by_class(q, class))
-                .collect(),
-        );
-        let next_id = self.intern_locked(&mut inner, next);
+        let next: Vec<StateId> = inner
+            .row(state, self.num_dfa_states())
+            .iter()
+            .map(|&q| self.dfa.next_by_class(q, class))
+            .collect();
+        let next_id = self.intern_locked(&mut inner, &next);
         inner.table[idx] = next_id;
         next_id
     }
@@ -349,19 +360,21 @@ impl LazyDSfa {
         if b == self.initial() {
             return a;
         }
+        let d = self.num_dfa_states();
         let composed = {
             let inner = self.inner.read().expect(POISONED);
             if inner.sink[a as usize] {
                 return a;
             }
-            let composed = inner.mappings[a as usize].then(&inner.mappings[b as usize]);
-            if let Some(&id) = inner.ids.get(&composed) {
+            let fb = inner.row(b, d);
+            let composed: Vec<StateId> = inner.row(a, d).iter().map(|&q| fb[q as usize]).collect();
+            if let Some(id) = inner.find(&composed) {
                 return id;
             }
             composed
         };
         let mut inner = self.inner.write().expect(POISONED);
-        self.intern_locked(&mut inner, composed)
+        self.intern_locked(&mut inner, &composed)
     }
 
     /// Bytes occupied by the materialized (class-compressed) transition
@@ -370,9 +383,10 @@ impl LazyDSfa {
         self.inner.read().expect(POISONED).table.len() * std::mem::size_of::<SfaStateId>()
     }
 
-    /// Bytes occupied by the materialized state mappings.
+    /// Bytes occupied by the materialized state mappings (each held
+    /// once).
     pub fn mapping_bytes(&self) -> usize {
-        self.inner.read().expect(POISONED).mappings.iter().map(|m| m.heap_bytes()).sum()
+        self.inner.read().expect(POISONED).maps.len() * std::mem::size_of::<StateId>()
     }
 }
 
@@ -401,6 +415,19 @@ mod tests {
         // The eager SFA for this pattern has 110 states; a short input must
         // touch far fewer.
         assert!(lazy.num_states_constructed() < 30);
+    }
+
+    #[test]
+    fn each_mapping_is_held_once_and_indexed() {
+        let lazy = LazyDSfa::from_pattern("([0-4]{2}[5-9]{2})*").unwrap();
+        lazy.run(b"00550459xx");
+        let (n, d) = (lazy.num_states_constructed(), lazy.num_dfa_states());
+        assert!(n > 3);
+        assert_eq!(lazy.mapping_bytes(), n * d * std::mem::size_of::<StateId>());
+        for s in 0..n as SfaStateId {
+            assert_eq!(lazy.state_of(&lazy.mapping(s)), Some(s));
+        }
+        assert_eq!(lazy.state_of(&Transformation::identity(d + 1)), None);
     }
 
     #[test]

@@ -143,9 +143,9 @@ mod proptests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sfa_automata::equivalence::equivalent;
-    use sfa_automata::{determinize, minimize, DfaConfig, Nfa};
+    use sfa_automata::{determinize, minimize, CompileError, DfaConfig, Nfa};
     use sfa_regex_syntax::generator::{AstGenerator, GeneratorConfig};
-    use sfa_regex_syntax::ByteSet;
+    use sfa_regex_syntax::{Ast, ByteSet};
 
     fn small_generator() -> AstGenerator {
         AstGenerator::with_config(GeneratorConfig {
@@ -273,6 +273,39 @@ mod proptests {
                     }
                     prop_assert_eq!(sfa.run_from_many(&jobs), sfa.run_from_many_scalar(&jobs));
                 }
+            }
+        }
+
+        /// The probe bound is sound: it never exceeds the eager state
+        /// count, is exact on DFAs of at most 32 states, and whenever it
+        /// passes a cap the eager build under that cap fails. Raw subset
+        /// constructions of tagged unions, whole-input or
+        /// `Contains`-wrapped, often reach past 32 states, so the probes
+        /// are exercised.
+        #[test]
+        fn states_lower_bound_is_sound(
+            seed in any::<u64>(),
+            branches in 1usize..4,
+            contains in any::<bool>(),
+            cap_pick in any::<prop::sample::Index>(),
+        ) {
+            let cap = [8usize, 60, 500, 2_000][cap_pick.index(4)];
+            let mut rng = StdRng::seed_from_u64(seed);
+            let any_star = || Ast::star(Ast::Class(sfa_regex_syntax::class::perl::any()));
+            let asts: Vec<Ast> = (0..branches)
+                .map(|_| small_generator().generate(&mut rng))
+                .map(|ast| if contains { Ast::concat(vec![any_star(), ast, any_star()]) } else { ast })
+                .collect();
+            let cfg = DfaConfig { max_states: 400, ..Default::default() };
+            let Ok(dfa) = Nfa::from_asts(&asts).and_then(|nfa| determinize(&nfa, &cfg)) else {
+                return Ok(());
+            };
+            let bound = DSfa::states_lower_bound(&dfa, cap);
+            prop_assert!(bound <= cap + 1);
+            match DSfa::from_dfa(&dfa, &SfaConfig { max_states: cap, ..SfaConfig::default() }) {
+                Ok(sfa) if dfa.num_states() <= dsfa::BOUND_PROBES => prop_assert_eq!(bound, sfa.num_states()),
+                Ok(sfa) => prop_assert!(bound <= sfa.num_states()),
+                Err(e) => prop_assert_eq!(e, CompileError::TooManyStates { limit: cap }),
             }
         }
 

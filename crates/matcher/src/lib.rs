@@ -52,7 +52,8 @@
 //! feasible on patterns whose eager D-SFA explodes.
 //! [`RegexBuilder::backend`] picks one — or [`BackendChoice::Auto`],
 //! which compiles eagerly and falls back to lazy when
-//! [`RegexBuilder::max_sfa_states`] is exceeded. Which builder knobs each
+//! [`RegexBuilder::max_sfa_states`] is exceeded, or proven to be by a
+//! cheap lower bound before any eager build. Which builder knobs each
 //! backend honors is tabulated in the [`sfa_core`] crate docs; the
 //! README's "Backends & state explosion" section walks through the
 //! trade-off on a real ruleset.

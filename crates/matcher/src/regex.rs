@@ -19,6 +19,7 @@ use crate::Reduction;
 use sfa_automata::{
     determinize, minimize, CompileError, Dfa, DfaConfig, Nfa, PatternId, PatternSet, StateId,
 };
+use sfa_core::dsfa::BOUND_PROBES;
 use sfa_core::{BackendKind, DSfa, LazyDSfa, SfaBackend, SfaConfig, SizeReport, StateIdRepr};
 use sfa_regex_syntax::ast::Ast;
 use sfa_regex_syntax::class::perl;
@@ -56,6 +57,13 @@ pub enum BackendChoice {
     /// instead of returning `TooManyStates`. This is how production
     /// engines pick a representation per pattern: dense tables when they
     /// fit, on-the-fly construction when they explode.
+    ///
+    /// A DFA of more than [`BOUND_PROBES`] states first gets a sound
+    /// lower bound on the eager state count
+    /// ([`DSfa::states_lower_bound`], at most `32/|D|` of the eager
+    /// build's cost). When the bound already exceeds the cap, the eager
+    /// build would fail, so it is never started: the automaton goes
+    /// straight to lazy. The choice is the one the eager attempt makes.
     Auto,
 }
 
@@ -230,9 +238,11 @@ impl RegexBuilder {
     /// already hit, and every hit-combination of independent rules is
     /// reachable, so it can grow with `2^rules`. With a budget set, the
     /// builder instead packs the rules greedily into **shards** — each
-    /// extended one rule at a time for as long as an incremental
-    /// determinization stays within the budget — and compiles each shard
-    /// through the ordinary [`backend`](RegexBuilder::backend) path. The
+    /// extended one rule at a time for as long as its DFA stays within
+    /// the budget — and compiles each shard through the ordinary
+    /// [`backend`](RegexBuilder::backend) path. Each rule is determinized
+    /// once; a trial extension is the exact product of the shard's DFA
+    /// and the rule's, which stops at the budget. The
     /// per-shard verdicts are merged behind the unchanged
     /// [`RegexSet::matches`] / [`RegexSet::matches_batch`] /
     /// [`SetStream::set_matches`] API, so callers only see that compile
@@ -290,7 +300,7 @@ impl RegexBuilder {
     /// *string*, not the empty language, see [`RegexSet::new`]), then the
     /// per-branch `(?s:.)*…(?s:.)*` wrap in `Contains` mode. Returns the
     /// transformed branches and whether they were collapsed. Shared with
-    /// the shard packer, whose trial determinizations must measure
+    /// the shard packer, whose per-rule determinizations must measure
     /// exactly what the final compile will build.
     pub(crate) fn wrap_branches(&self, branches: Vec<Ast>) -> (Vec<Ast>, bool) {
         let collapsed = !self.track_patterns && branches.len() > 1;
@@ -311,9 +321,8 @@ impl RegexBuilder {
 
     /// The back half of the pipeline: minimize a determinized DFA, pick
     /// the D-SFA backend, and assemble the [`Regex`]. Split from
-    /// [`build`](Self::build) so the shard packer can reuse the DFA of
-    /// its last successful trial determinization instead of running the
-    /// subset construction twice.
+    /// [`build`](Self::build) so the shard packer can hand in the DFA of
+    /// a shard's last successful fit trial.
     pub(crate) fn finish_regex(
         &self,
         pattern: String,
@@ -326,6 +335,15 @@ impl RegexBuilder {
         let backend = match self.backend {
             BackendChoice::Eager => SfaBackend::Eager(DSfa::from_dfa(&dfa, &self.sfa)?),
             BackendChoice::Lazy => SfaBackend::Lazy(LazyDSfa::new(dfa.clone())),
+            // Past 32 DFA states the lower bound costs a fraction of the
+            // eager build, and proving it would overflow skips the build.
+            BackendChoice::Auto
+                if dfa.num_states() > BOUND_PROBES
+                    && DSfa::states_lower_bound(&dfa, self.sfa.max_states)
+                        > self.sfa.max_states =>
+            {
+                SfaBackend::Lazy(LazyDSfa::new(dfa.clone()))
+            }
             BackendChoice::Auto => match DSfa::from_dfa(&dfa, &self.sfa) {
                 Ok(sfa) => SfaBackend::Eager(sfa),
                 Err(CompileError::TooManyStates { .. }) => {

@@ -9,13 +9,17 @@
 //! that; the fix is to stop building one union.
 //!
 //! The packer here is a greedy next-fit bin-packer driven by the real
-//! cost function: it extends the current shard one rule at a time,
-//! re-running the budget-capped subset construction as the fit test, and
+//! cost function: it extends the current shard one rule at a time and
 //! closes the shard the moment a candidate rule would push the
-//! determinized DFA past the per-shard state budget. The last successful
-//! trial DFA is reused as the closed shard's DFA, so nothing determinizes
-//! twice. A rule that busts the budget *alone* becomes a singleton
-//! fallback shard compiled under the builder's full
+//! determinized DFA past the per-shard state budget. Each rule's NFA is
+//! determinized once, alone, under the budget. The fit test is then
+//! [`determinize_union`] of the open shard's DFA and the candidate's:
+//! the exact tagged-union DFA, built as a product without the union NFA
+//! and stopped at the budget. The last successful trial is the closed
+//! shard's DFA. An untracked set uses the same tagged fit test, which
+//! bounds its collapsed union, and determinizes that union once per
+//! closed shard. A rule that busts the budget *alone* becomes a
+//! singleton fallback shard compiled under the builder's full
 //! [`max_dfa_states`](crate::RegexBuilder::max_dfa_states) limit — one
 //! pathological rule degrades only itself, not its neighbors' packing.
 //!
@@ -43,7 +47,10 @@ use crate::pool::MIN_POOL_CHUNK_BYTES;
 use crate::prefilter::Prefilter;
 use crate::regex::{set_label, union_nfa, Regex, RegexBuilder};
 use crate::strategy::Strategy;
-use sfa_automata::{determinize, CompileError, Dfa, DfaConfig, PatternId, PatternSet, StateId};
+use sfa_automata::{
+    determinize, determinize_union, CompileError, Dfa, DfaConfig, Nfa, PatternId, PatternSet,
+    StateId,
+};
 use sfa_core::{SfaStateId, StateIdRepr};
 use sfa_regex_syntax::literal::required_literal_clauses;
 use sfa_regex_syntax::Ast;
@@ -173,10 +180,26 @@ impl ShardedSet {
                 ungated: vec![true],
             });
         };
-        // The fit test: determinize under the shard budget (never above
-        // the builder's own DFA limit).
+        // The fit test: the tagged union of the open shard and the
+        // candidate rule under the shard budget (never above the builder's
+        // own DFA limit).
         let trial_cfg =
             DfaConfig { max_states: budget.min(builder.dfa.max_states), ..builder.dfa.clone() };
+        // Each rule is determinized once, here: its solo DFA under the
+        // budget (`None` when it busts the budget alone) and its NFA size.
+        // The solo DFA is kept until the rule is placed; every fit trial
+        // is the product of the open shard's DFA and the rule's.
+        let mut solo: Vec<Option<Dfa>> = Vec::with_capacity(unique);
+        let mut nfa_states: Vec<usize> = Vec::with_capacity(unique);
+        for ast in &asts {
+            let nfa = rule_nfa(builder, ast)?;
+            nfa_states.push(nfa.num_states());
+            solo.push(match determinize(&nfa, &trial_cfg) {
+                Ok(dfa) => Some(dfa),
+                Err(CompileError::TooManyStates { .. }) => None,
+                Err(e) => return Err(e),
+            });
+        }
         // Packing order: biggest solo DFA first. Next-fit is sensitive to
         // arrival order — a large rule arriving at a nearly-full shard
         // closes it with most of the budget unused. Sorting by each rule's
@@ -185,41 +208,35 @@ impl ShardedSet {
         // backfill the remainder, which packs the same ruleset into
         // measurably fewer shards. Rules that bust the budget alone sort
         // first and take their fallback singletons immediately.
-        let mut solo_states: Vec<usize> = Vec::with_capacity(asts.len());
-        for ast in &asts {
-            let (wrapped, _) = builder.wrap_branches(vec![ast.clone()]);
-            let nfa = union_nfa(&wrapped)?;
-            match determinize(&nfa, &trial_cfg) {
-                Ok(dfa) => solo_states.push(dfa.num_states()),
-                Err(CompileError::TooManyStates { .. }) => solo_states.push(usize::MAX),
-                Err(e) => return Err(e),
-            }
-        }
-        let mut order: Vec<usize> = (0..asts.len()).collect();
+        let mut order: Vec<usize> = (0..unique).collect();
         // Stable sort: equal-size rules keep their user-given order.
-        order.sort_by_key(|&u| std::cmp::Reverse(solo_states[u]));
+        order.sort_by_key(|&u| {
+            std::cmp::Reverse(solo[u].as_ref().map_or(usize::MAX, Dfa::num_states))
+        });
         let mut shards: Vec<Shard> = Vec::new();
         let mut open: Vec<PatternId> = Vec::new();
-        let mut open_good: Option<(usize, Dfa)> = None;
+        let mut open_dfa: Option<Dfa> = None;
         let mut pos = 0;
         while pos < order.len() {
             let i = order[pos];
-            let mut candidate = open.clone();
-            candidate.push(i as PatternId);
-            let branches: Vec<Ast> = candidate.iter().map(|&u| asts[u as usize].clone()).collect();
-            let (wrapped, _) = builder.wrap_branches(branches);
-            let nfa = union_nfa(&wrapped)?;
-            match determinize(&nfa, &trial_cfg) {
+            let trial = match (&open_dfa, &solo[i]) {
+                // A union has at least as many states as either side, so a
+                // rule that busts the budget alone busts every shard.
+                (_, None) => Err(CompileError::TooManyStates { limit: trial_cfg.max_states }),
+                (None, Some(rule)) => Ok(rule.clone()),
+                (Some(shard), Some(rule)) => determinize_union(shard, rule, &trial_cfg),
+            };
+            match trial {
                 Ok(dfa) => {
-                    open = candidate;
-                    open_good = Some((nfa.num_states(), dfa));
+                    open.push(i as PatternId);
+                    open_dfa = Some(dfa);
+                    solo[i] = None;
                     pos += 1;
                 }
                 Err(CompileError::TooManyStates { .. }) if open.is_empty() => {
                     // The rule busts the budget alone: singleton fallback
                     // under the builder's full limits.
-                    let (wrapped, _) = builder.wrap_branches(vec![asts[i].clone()]);
-                    let nfa = union_nfa(&wrapped)?;
+                    let nfa = rule_nfa(builder, &asts[i])?;
                     let dfa = determinize(&nfa, &builder.dfa)?;
                     let regex =
                         builder.finish_regex(texts[i].clone(), nfa.num_states(), &dfa, false)?;
@@ -234,22 +251,15 @@ impl ShardedSet {
                 Err(CompileError::TooManyStates { .. }) => {
                     // Close the open shard on its last good trial; rule i
                     // retries against a fresh shard (pos not advanced).
-                    let (nfa_states, dfa) = open_good.take().expect("open shard had a good trial");
-                    shards.push(close_shard(
-                        builder,
-                        texts,
-                        std::mem::take(&mut open),
-                        nfa_states,
-                        &dfa,
-                    )?);
+                    let dfa = open_dfa.take().expect("an open shard has a DFA");
+                    let members = std::mem::take(&mut open);
+                    shards.push(close_shard(builder, texts, &asts, &nfa_states, members, dfa)?);
                 }
                 Err(e) => return Err(e),
             }
         }
-        if let Some((nfa_states, dfa)) = open_good.take() {
-            if !open.is_empty() {
-                shards.push(close_shard(builder, texts, open, nfa_states, &dfa)?);
-            }
+        if let Some(dfa) = open_dfa {
+            shards.push(close_shard(builder, texts, &asts, &nfa_states, open, dfa)?);
         }
 
         // Gate shards whose every rule proves a required-literal clause
@@ -494,17 +504,44 @@ pub(crate) fn scan_batch(
     }
 }
 
-/// Compiles a closed shard from its last successful trial DFA.
+/// The NFA of one rule alone, wrapped for the builder's match mode.
+fn rule_nfa(builder: &RegexBuilder, ast: &Ast) -> Result<Nfa, CompileError> {
+    let (wrapped, _) = builder.wrap_branches(vec![ast.clone()]);
+    union_nfa(&wrapped)
+}
+
+/// Compiles a closed shard from the DFA of its last successful trial,
+/// the tagged union of its members. An untracked shard of several rules
+/// compiles their collapsed union instead. After any nonempty word, the
+/// collapsed union's NFA subset is a function of the tagged union's (each
+/// rule's own states, plus the shared alternation exit and `Contains`
+/// tail, active when some rule's are), so its DFA has at most as many
+/// states and the tagged fit test keeps it within the budget.
 fn close_shard(
     builder: &RegexBuilder,
     texts: &[String],
+    asts: &[Ast],
+    nfa_states: &[usize],
     members: Vec<PatternId>,
-    nfa_states: usize,
-    dfa: &Dfa,
+    tagged: Dfa,
 ) -> Result<Shard, CompileError> {
     let member_texts: Vec<String> = members.iter().map(|&u| texts[u as usize].clone()).collect();
     let collapsed = !builder.track_patterns && members.len() > 1;
-    let regex = builder.finish_regex(set_label(&member_texts), nfa_states, dfa, collapsed)?;
+    let (nfa_size, dfa) = if collapsed {
+        let branches = members.iter().map(|&u| asts[u as usize].clone()).collect();
+        let (wrapped, _) = builder.wrap_branches(branches);
+        let nfa = union_nfa(&wrapped)?;
+        let dfa = determinize(&nfa, &builder.dfa)?;
+        debug_assert!(dfa.num_states() <= tagged.num_states(), "the tagged union bounds it");
+        (nfa.num_states(), dfa)
+    } else {
+        // The union NFA is a fresh ε-start over every member's NFA; a
+        // single rule compiles without one.
+        let sizes = members.iter().map(|&u| nfa_states[u as usize]);
+        let size = if members.len() == 1 { sizes.sum() } else { 1 + sizes.sum::<usize>() };
+        (size, tagged)
+    };
+    let regex = builder.finish_regex(set_label(&member_texts), nfa_size, &dfa, collapsed)?;
     Ok(Shard { regex, members, gated: false, fallback: false })
 }
 
@@ -570,6 +607,44 @@ mod tests {
         let hays: Vec<&[u8]> = vec![b"attack77", b"nothing", b"overflowed exploitme"];
         assert_eq!(sharded.matches_batch(&hays), unsharded.matches_batch(&hays));
         assert_eq!(sharded.match_batch(&hays), unsharded.match_batch(&hays));
+    }
+
+    /// The product fit trials close shards exactly where determinizing
+    /// the union NFA would: in tracked packings, the next rule in packing
+    /// order (the next shard's first) busts every closed shard's tagged
+    /// union. Tracked or not, no non-fallback shard passes the budget.
+    #[test]
+    fn fit_trials_close_shards_where_determinize_would() {
+        use crate::regex::union_nfa;
+        use sfa_automata::{determinize, CompileError, DfaConfig, Nfa};
+        let extra = ["(?i)union.{0,8}select", "cmd=[a-z]{2,6}", "%2[ef]%2[ef]"];
+        let rules = [&RULES[..], &extra[..]].concat();
+        for (budget, tracked) in [(64, true), (200, true), (64, false), (200, false)] {
+            let b = builder().shard_state_budget(budget).track_patterns(tracked);
+            let set = RegexSet::new(rules.iter().copied(), &b).unwrap();
+            let wrapped = |members: &[u32]| {
+                let asts = members.iter().map(|&u| sfa_regex_syntax::parse(rules[u as usize]));
+                b.wrap_branches(asts.collect::<Result<_, _>>().unwrap()).0
+            };
+            let cfg = DfaConfig { max_states: budget, ..DfaConfig::default() };
+            let shards = set.shards();
+            assert!(shards.len() > 2, "budget {budget}");
+            for shard in shards.iter().filter(|s| !s.is_fallback()) {
+                let nfa = union_nfa(&wrapped(shard.members())).unwrap();
+                assert!(determinize(&nfa, &cfg).is_ok(), "budget {budget}");
+                assert!(shard.regex().dfa().num_states() <= budget);
+            }
+            if !tracked {
+                continue;
+            }
+            for pair in shards.windows(2).filter(|pair| !pair[0].is_fallback()) {
+                let mut members = pair[0].members().to_vec();
+                members.push(pair[1].members()[0]);
+                let tagged = Nfa::from_asts(&wrapped(&members)).unwrap();
+                let bust = Err(CompileError::TooManyStates { limit: budget });
+                assert_eq!(determinize(&tagged, &cfg).map(|_| ()), bust, "{members:?}");
+            }
+        }
     }
 
     #[test]

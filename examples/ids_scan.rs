@@ -21,10 +21,10 @@ use sfa::workloads;
 fn main() {
     // A dedicated 4-worker pool so the "4 threads" figure below is honest
     // even on machines with fewer CPUs (the default engine caps the chunk
-    // count at available_parallelism). The 2k-state cap keeps the doomed
-    // eager attempt cheap; the full construction would blow through 750k
-    // states (each interned SFA state costs O(|D|), and the per-rule DFA
-    // is 5 668 states, so a high cap makes *failing* expensive).
+    // count at available_parallelism). Under the 2k-state cap Auto's lower
+    // bound proves the explosion and goes lazy without an eager attempt;
+    // the full construction would blow through 750k states (each interned
+    // SFA state costs O(|D|), and the per-rule DFA is 5 668 states).
     let set = RegexSet::new(
         workloads::IDS_SCAN_RULES.iter().copied(),
         &Regex::builder()

@@ -207,6 +207,33 @@ fn explosion_families_behave_as_in_section_vii() {
 }
 
 #[test]
+fn sfa_lower_bound_proves_explosions_before_building() {
+    // The untamed SQLi rule (Section VII's practical case) and the Fact 2
+    // witness both explode past a 2 000-state cap; the probe bound proves
+    // it without the eager build, so Auto goes straight to lazy.
+    let cap = 2_000;
+    let sqli = Regex::builder()
+        .mode(MatchMode::Contains)
+        .backend(BackendChoice::Lazy)
+        .build(workloads::SQLI_RULE)
+        .unwrap();
+    assert_eq!(sqli.dfa().num_states(), 591);
+    let fact2 = sfa::monoid::fact2_dfa(33);
+    for dfa in [sqli.dfa(), &fact2] {
+        assert!(dfa.num_states() > sfa::core::dsfa::BOUND_PROBES);
+        assert_eq!(DSfa::states_lower_bound(dfa, cap), cap + 1);
+    }
+    let auto = Regex::builder()
+        .mode(MatchMode::Contains)
+        .backend(BackendChoice::Auto)
+        .max_sfa_states(cap)
+        .build(workloads::SQLI_RULE)
+        .unwrap();
+    assert_eq!(auto.backend_kind(), BackendKind::Lazy);
+    assert!(auto.is_match(b"q=union select a, b from users"));
+}
+
+#[test]
 fn nsfa_and_dsfa_agree_on_language() {
     for pattern in ["(ab)*", "(a|b)*abb", "a{2,4}b?"] {
         let nfa = Nfa::from_pattern(pattern).unwrap();
