@@ -3,36 +3,22 @@
 //! Compile-time problems (bad patterns, state-budget overflow) surface as
 //! [`CompileError`](sfa_automata::CompileError) from the builders; this
 //! module covers the *usage* errors that can only occur after a
-//! successful compile: asking a
-//! [`track_patterns(false)`](crate::RegexBuilder::track_patterns)
-//! automaton for per-rule verdicts, loading a compiled-automaton
-//! artifact that is stale or damaged, and addressing an unregistered
-//! tenant namespace in a multi-tenant service built on this crate.
+//! successful compile: encoding a lazy automaton as an artifact, loading
+//! a compiled-automaton artifact that is stale or damaged, and
+//! addressing an unregistered tenant namespace in a multi-tenant service
+//! built on this crate.
 
 use sfa_serialize::ArtifactError;
 use std::fmt;
 
-/// A runtime usage error from a per-rule verdict API.
-///
-/// Returned by the `try_*` variants ([`RegexSet::try_matches`],
-/// [`RegexSet::try_matches_batch`], [`SetStream::try_set_matches`], …);
-/// the panicking variants are documented wrappers that `panic!` with this
-/// error's [`Display`](fmt::Display) text.
-///
-/// [`RegexSet::try_matches`]: crate::RegexSet::try_matches
-/// [`RegexSet::try_matches_batch`]: crate::RegexSet::try_matches_batch
-/// [`SetStream::try_set_matches`]: crate::SetStream::try_set_matches
+/// A runtime usage error: returned by
+/// [`Regex::to_artifact`](crate::Regex::to_artifact), the artifact
+/// loaders ([`Regex::from_artifact`](crate::Regex::from_artifact),
+/// [`Regex::load_artifact`](crate::Regex::load_artifact)) and services
+/// that look tenants up by name.
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum Error {
-    /// Per-rule verdicts were requested from an automaton compiled with
-    /// [`RegexBuilder::track_patterns(false)`], which collapses the rules
-    /// into one any-match union: the information simply is not there.
-    /// Recompile the set with tracking on (the default) to use the
-    /// per-rule APIs.
-    ///
-    /// [`RegexBuilder::track_patterns(false)`]: crate::RegexBuilder::track_patterns
-    PatternTrackingDisabled,
     /// A compiled-automaton artifact was written by a different format
     /// version. Rebuild the artifact with this toolchain (see
     /// [`Regex::to_artifact`](crate::Regex::to_artifact)).
@@ -77,12 +63,6 @@ pub enum Error {
 impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Error::PatternTrackingDisabled => write!(
-                f,
-                "per-rule verdicts require pattern tracking: this automaton was compiled \
-                 with RegexBuilder::track_patterns(false), which collapses the rules into \
-                 one any-match union"
-            ),
             Error::ArtifactVersionMismatch { found, supported } => write!(
                 f,
                 "artifact format version {found} is not readable by this build \
@@ -126,15 +106,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn display_text_names_the_fix() {
-        let msg = Error::PatternTrackingDisabled.to_string();
-        assert!(msg.starts_with("per-rule verdicts require pattern tracking"));
-        assert!(msg.contains("track_patterns(false)"));
-    }
-
-    #[test]
     fn is_a_std_error() {
-        let err: Box<dyn std::error::Error> = Box::new(Error::PatternTrackingDisabled);
+        let err: Box<dyn std::error::Error> = Box::new(Error::ArtifactRequiresEagerBackend);
         assert!(err.source().is_none());
     }
 

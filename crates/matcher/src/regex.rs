@@ -78,7 +78,6 @@ pub struct RegexBuilder {
     pub(crate) threads: usize,
     pub(crate) reduction: Reduction,
     pub(crate) engine: Option<Engine>,
-    pub(crate) track_patterns: bool,
     pub(crate) shard_budget: Option<usize>,
 }
 
@@ -93,7 +92,6 @@ impl Default for RegexBuilder {
             threads: default_threads(),
             reduction: Reduction::Sequential,
             engine: None,
-            track_patterns: true,
             shard_budget: None,
         }
     }
@@ -210,33 +208,13 @@ impl RegexBuilder {
         self
     }
 
-    /// Whether a multi-pattern [`RegexSet`] keeps each pattern's identity
-    /// through compilation (default `true`).
-    ///
-    /// Per-rule verdicts have an automaton-size cost: the DFA must
-    /// remember *which* rules already matched, and every hit-combination
-    /// of independent `Contains` rules is reachable, so it can grow with
-    /// `2^rules`. A set that will only ever be asked the any-match
-    /// questions ([`RegexSet::is_match`] / [`RegexSet::match_batch`] /
-    /// [`StreamMatcher::finish`]) can pass `false` to compile the plain
-    /// union instead — the pre-per-rule automaton, often several times
-    /// smaller. On such a set the per-rule APIs ([`RegexSet::matches`]
-    /// and friends) panic rather than misreport.
-    ///
-    /// Single-pattern [`Regex::new`]/[`build`](RegexBuilder::build)
-    /// compilations are unaffected (one pattern tracks for free).
-    pub fn track_patterns(mut self, yes: bool) -> Self {
-        self.track_patterns = yes;
-        self
-    }
-
     /// Auto-shard multi-pattern [`RegexSet`] compilations so that no
     /// shard's product DFA exceeds `budget` determinized states.
     ///
-    /// Tracked `Contains`-mode rule sets pay an exponential price for
-    /// per-rule verdicts: the combined DFA must remember which rules
-    /// already hit, and every hit-combination of independent rules is
-    /// reachable, so it can grow with `2^rules`. With a budget set, the
+    /// `Contains`-mode rule sets pay an exponential price for per-rule
+    /// verdicts: the combined DFA must remember which rules already hit,
+    /// and every hit-combination of independent rules is reachable, so
+    /// it can grow with `2^rules`. With a budget set, the
     /// builder instead packs the rules greedily into **shards** — each
     /// extended one rule at a time for as long as its DFA stays within
     /// the budget — and compiles each shard through the ordinary
@@ -288,24 +266,18 @@ impl RegexBuilder {
         pattern: String,
         branches: Vec<Ast>,
     ) -> Result<Regex, CompileError> {
-        let (branches, collapsed_patterns) = self.wrap_branches(branches);
+        let branches = self.wrap_branches(branches);
         let nfa = union_nfa(&branches)?;
         let dfa = determinize(&nfa, &self.dfa)?;
-        self.finish_regex(pattern, nfa.num_states(), &dfa, collapsed_patterns)
+        self.finish_regex(pattern, nfa.num_states(), &dfa)
     }
 
-    /// Applies the pre-NFA AST transformations: collapse into a plain
-    /// union when tracking is off (the historical any-match automaton —
-    /// never for an empty list: `Ast::alternation([])` is the empty
-    /// *string*, not the empty language, see [`RegexSet::new`]), then the
-    /// per-branch `(?s:.)*…(?s:.)*` wrap in `Contains` mode. Returns the
-    /// transformed branches and whether they were collapsed. Shared with
-    /// the shard packer, whose per-rule determinizations must measure
-    /// exactly what the final compile will build.
-    pub(crate) fn wrap_branches(&self, branches: Vec<Ast>) -> (Vec<Ast>, bool) {
-        let collapsed = !self.track_patterns && branches.len() > 1;
-        let branches = if collapsed { vec![Ast::alternation(branches)] } else { branches };
-        let branches = branches
+    /// Applies the pre-NFA AST transformation: the per-branch
+    /// `(?s:.)*…(?s:.)*` wrap in `Contains` mode. Shared with the shard
+    /// packer, whose per-rule determinizations must measure exactly what
+    /// the final compile will build.
+    pub(crate) fn wrap_branches(&self, branches: Vec<Ast>) -> Vec<Ast> {
+        branches
             .into_iter()
             .map(|ast| match self.mode {
                 MatchMode::Whole => ast,
@@ -315,8 +287,7 @@ impl RegexBuilder {
                     Ast::star(Ast::Class(perl::any())),
                 ]),
             })
-            .collect();
-        (branches, collapsed)
+            .collect()
     }
 
     /// The back half of the pipeline: minimize a determinized DFA, pick
@@ -328,7 +299,6 @@ impl RegexBuilder {
         pattern: String,
         nfa_states: usize,
         raw_dfa: &Dfa,
-        collapsed_patterns: bool,
     ) -> Result<Regex, CompileError> {
         let dfa = minimize(raw_dfa);
         debug_assert_eq!(dfa.validate(), Ok(()), "minimized DFA failed invariant validation");
@@ -361,7 +331,6 @@ impl RegexBuilder {
             nfa_states,
             dfa,
             backend,
-            collapsed_patterns,
             decided: std::sync::OnceLock::new(),
             convergence: std::sync::OnceLock::new(),
             convergence_summary: None,
@@ -395,10 +364,6 @@ pub struct Regex {
     nfa_states: usize,
     dfa: Dfa,
     backend: SfaBackend,
-    /// True when multiple patterns were collapsed into one any-match
-    /// union by [`RegexBuilder::track_patterns`]`(false)`: per-rule
-    /// verdict APIs must refuse rather than misreport.
-    collapsed_patterns: bool,
     /// Per-DFA-state verdict-finality bitmaps for streaming, computed on
     /// first use (only streams consult them; plain matching never pays).
     decided: std::sync::OnceLock<DecidedMaps>,
@@ -535,7 +500,6 @@ impl Regex {
                 MatchMode::Whole => 0,
                 MatchMode::Contains => 1,
             },
-            collapsed: self.collapsed_patterns,
             nfa_states: self.nfa_states as u32,
             dfa: &self.dfa,
             sfa,
@@ -594,7 +558,6 @@ impl Regex {
             nfa_states: loaded.nfa_states as usize,
             dfa: loaded.dfa,
             backend: SfaBackend::Eager(loaded.sfa),
-            collapsed_patterns: loaded.collapsed,
             decided,
             convergence: std::sync::OnceLock::new(),
             convergence_summary: loaded.convergence,
@@ -745,58 +708,20 @@ impl Regex {
     /// a pattern *set* instead of a boolean — but the execution is the
     /// same single pass: Theorem 3's composition is untouched, so the
     /// verdict is identical under every strategy and both backends.
-    ///
-    /// A documented wrapper around
-    /// [`try_matches_with`](Regex::try_matches_with) that panics on
-    /// [`Error::PatternTrackingDisabled`].
     pub fn matches_with(&self, input: &[u8], strategy: Strategy) -> SetMatches {
-        match self.try_matches_with(input, strategy) {
-            Ok(m) => m,
-            Err(e) => panic!("{e}"),
-        }
+        SetMatches::new(self.dfa.accept_set(self.run(input, strategy)).clone())
     }
 
-    /// Fallible [`matches`](Regex::matches): `Err` instead of a panic
-    /// when this automaton was compiled with
-    /// [`RegexBuilder::track_patterns`]`(false)`.
-    pub fn try_matches(&self, input: &[u8]) -> Result<SetMatches, Error> {
-        self.try_matches_with(input, Strategy::Auto)
-    }
-
-    /// Fallible [`matches_with`](Regex::matches_with): `Err` instead of a
-    /// panic when this automaton was compiled with
-    /// [`RegexBuilder::track_patterns`]`(false)`.
+    /// [`matches_with`](Regex::matches_with) in a `Result`; it never
+    /// fails, and the `Result` form stays for callers written against it.
     pub fn try_matches_with(&self, input: &[u8], strategy: Strategy) -> Result<SetMatches, Error> {
-        self.check_tracking()?;
-        Ok(SetMatches::new(self.dfa.accept_set(self.run(input, strategy)).clone()))
+        Ok(self.matches_with(input, strategy))
     }
 
     /// Number of original patterns compiled into this automaton: 1 for
     /// [`Regex::new`]-style builds, the rule count for a [`RegexSet`].
     pub fn pattern_count(&self) -> usize {
         self.dfa.pattern_count()
-    }
-
-    /// Whether per-pattern identities survived compilation. Only false
-    /// when a multi-pattern set was compiled with
-    /// [`RegexBuilder::track_patterns`]`(false)` — the per-rule verdict
-    /// APIs ([`matches`](Regex::matches) and friends, and the stream's
-    /// [`set_matches`](StreamMatcher::set_matches)) panic on such a
-    /// regex rather than attribute the any-match union verdict to
-    /// pattern 0.
-    pub fn tracks_patterns(&self) -> bool {
-        !self.collapsed_patterns
-    }
-
-    /// The typed form of the tracking precondition: `Err` when per-rule
-    /// verdicts were compiled away. Every `try_*` verdict API starts
-    /// here; the panicking APIs are wrappers over the `try_*` ones.
-    pub(crate) fn check_tracking(&self) -> Result<(), Error> {
-        if self.tracks_patterns() {
-            Ok(())
-        } else {
-            Err(Error::PatternTrackingDisabled)
-        }
     }
 
     /// The verdict-finality bitmaps streams use to finalize early,
@@ -848,27 +773,17 @@ impl Regex {
     /// [`matches`](Regex::matches) what [`is_match_batch`](Regex::is_match_batch)
     /// is to [`is_match`](Regex::is_match); same plan, richer verdict.
     /// See [`RegexSet::matches_batch`].
-    ///
-    /// A documented wrapper around
-    /// [`try_matches_batch`](Regex::try_matches_batch) that panics on
-    /// [`Error::PatternTrackingDisabled`].
     pub fn matches_batch(&self, haystacks: &[&[u8]]) -> Vec<SetMatches> {
-        match self.try_matches_batch(haystacks) {
-            Ok(m) => m,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`matches_batch`](Regex::matches_batch): `Err` instead of
-    /// a panic when this automaton was compiled with
-    /// [`RegexBuilder::track_patterns`]`(false)`.
-    pub fn try_matches_batch(&self, haystacks: &[&[u8]]) -> Result<Vec<SetMatches>, Error> {
-        self.check_tracking()?;
-        Ok(self
-            .batch_states(haystacks)
+        self.batch_states(haystacks)
             .into_iter()
             .map(|q| SetMatches::new(self.dfa.accept_set(q).clone()))
-            .collect())
+            .collect()
+    }
+
+    /// [`matches_batch`](Regex::matches_batch) in a `Result`; it never
+    /// fails, and the `Result` form stays for callers written against it.
+    pub fn try_matches_batch(&self, haystacks: &[&[u8]]) -> Result<Vec<SetMatches>, Error> {
+        Ok(self.matches_batch(haystacks))
     }
 
     /// The final DFA state of every haystack: the [batch core](scan_batch)
@@ -892,7 +807,7 @@ impl Regex {
 /// [`RegexBuilder::shard_state_budget`] set, it compiles into several
 /// budget-bounded shards plus an optional literal [`Prefilter`] instead —
 /// same API, same verdicts, without the `~2^rules` product-DFA blowup of
-/// large tracked rule sets.
+/// large rule sets.
 #[derive(Clone, Debug)]
 pub struct RegexSet {
     patterns: Vec<String>,
@@ -1025,14 +940,6 @@ impl RegexSet {
         SizeReport::combine(&reports)
     }
 
-    /// Whether this set was compiled with per-pattern tracking (see
-    /// [`RegexBuilder::track_patterns`]). When `false`, only the
-    /// any-match APIs are available — the per-rule ones panic (or return
-    /// [`Error::PatternTrackingDisabled`] from the `try_*` variants).
-    pub fn tracks_patterns(&self) -> bool {
-        self.sharded.tracked
-    }
-
     /// True if any pattern matches (under the builder's match mode). On a
     /// sharded set, prefilter-gated shards whose literals do not occur in
     /// the input are skipped entirely.
@@ -1048,10 +955,6 @@ impl RegexSet {
     /// combined automaton instead of `N` (`reproduce multimatch` measures
     /// it), and is the same under every [`Strategy`], both backends, and
     /// sharded or not.
-    ///
-    /// A documented wrapper around
-    /// [`try_matches`](RegexSet::try_matches) that panics on
-    /// [`Error::PatternTrackingDisabled`].
     ///
     /// ```
     /// use sfa_matcher::{MatchMode, Regex, RegexSet};
@@ -1071,22 +974,7 @@ impl RegexSet {
 
     /// [`matches`](RegexSet::matches) under an explicit [`Strategy`].
     pub fn matches_with(&self, input: &[u8], strategy: Strategy) -> SetMatches {
-        match self.try_matches_with(input, strategy) {
-            Ok(m) => m,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`matches`](RegexSet::matches): `Err` instead of a panic
-    /// when the set was compiled with
-    /// [`RegexBuilder::track_patterns`]`(false)`.
-    pub fn try_matches(&self, input: &[u8]) -> Result<SetMatches, Error> {
-        self.try_matches_with(input, Strategy::Auto)
-    }
-
-    /// Fallible [`matches_with`](RegexSet::matches_with).
-    pub fn try_matches_with(&self, input: &[u8], strategy: Strategy) -> Result<SetMatches, Error> {
-        Ok(self.expand(self.sharded.matches_with(input, strategy)?))
+        self.expand(self.sharded.matches_with(input, strategy))
     }
 
     /// Matches many haystacks as one engine batch — "does any pattern
@@ -1106,29 +994,14 @@ impl RegexSet {
     /// rule-set dual of [`match_batch`](RegexSet::match_batch)): one
     /// [`SetMatches`] per haystack, in order. See
     /// [`Regex::matches_batch`].
-    ///
-    /// A documented wrapper around
-    /// [`try_matches_batch`](RegexSet::try_matches_batch) that panics on
-    /// [`Error::PatternTrackingDisabled`].
     pub fn matches_batch(&self, haystacks: &[&[u8]]) -> Vec<SetMatches> {
-        match self.try_matches_batch(haystacks) {
-            Ok(m) => m,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`matches_batch`](RegexSet::matches_batch): `Err` instead
-    /// of a panic when the set was compiled with
-    /// [`RegexBuilder::track_patterns`]`(false)`.
-    pub fn try_matches_batch(&self, haystacks: &[&[u8]]) -> Result<Vec<SetMatches>, Error> {
         let sharded = &self.sharded;
-        sharded.check_tracking()?;
         let mut uniq: Vec<PatternSet> =
             haystacks.iter().map(|_| PatternSet::new(sharded.unique)).collect();
         sharded.scan_active(haystacks, |i, shard, q| {
             sharded.scatter(&mut uniq[i], shard, sharded.shards[shard].regex().dfa().accept_set(q));
         });
-        Ok(uniq.into_iter().map(|u| self.expand(u)).collect())
+        uniq.into_iter().map(|u| self.expand(u)).collect()
     }
 
     /// Starts a [`SetStream`]: incremental matching over input arriving
@@ -1566,63 +1439,6 @@ mod tests {
     }
 
     #[test]
-    fn untracked_set_compiles_the_plain_union() {
-        let patterns = ["attack[0-9]{2}", "exploit[a-z]{2}", "(?i)etc/passwd"];
-        let tracked = RegexSet::new(patterns, &Regex::builder().mode(MatchMode::Contains)).unwrap();
-        let untracked = RegexSet::new(
-            patterns,
-            &Regex::builder().mode(MatchMode::Contains).track_patterns(false),
-        )
-        .unwrap();
-        assert!(tracked.tracks_patterns());
-        assert!(!untracked.tracks_patterns());
-        assert_eq!(untracked.len(), 3, "the pattern list is still the user's");
-        assert_eq!(untracked.regex().pattern_count(), 1, "but the automaton is one union");
-        // The any-match automaton is strictly smaller: it need not
-        // remember which rules already hit.
-        assert!(untracked.regex().dfa().num_states() < tracked.regex().dfa().num_states());
-        // Any-match verdicts agree everywhere.
-        for input in [&b"GET /attack42"[..], b"exploitok", b"cat etc/passwd", b"benign", b"attack4"]
-        {
-            assert_eq!(untracked.is_match(input), tracked.is_match(input), "{input:?}");
-        }
-        let haystacks: Vec<&[u8]> = vec![b"attack99 exploitme", b"nothing"];
-        assert_eq!(untracked.match_batch(&haystacks), tracked.match_batch(&haystacks));
-        // A single-pattern (or empty) set tracks for free either way.
-        let single = RegexSet::new(["(ab)*"], &Regex::builder().track_patterns(false)).unwrap();
-        assert!(single.tracks_patterns());
-        assert!(single.matches(b"abab").matched(0));
-        let empty = RegexSet::new([], &Regex::builder().track_patterns(false)).unwrap();
-        assert!(!empty.is_match(b""), "the empty set stays the void language");
-        assert!(empty.tracks_patterns());
-    }
-
-    #[test]
-    #[should_panic(expected = "per-rule verdicts require pattern tracking")]
-    fn untracked_set_panics_on_per_rule_apis() {
-        let set = RegexSet::new(["a", "b"], &Regex::builder().track_patterns(false)).unwrap();
-        let _ = set.matches(b"a");
-    }
-
-    #[test]
-    #[should_panic(expected = "per-rule verdicts require pattern tracking")]
-    fn untracked_set_panics_on_stream_set_matches() {
-        // The stream path must refuse too — otherwise the union verdict
-        // would be silently attributed to rule 0.
-        let set = RegexSet::new(["a", "b"], &Regex::builder().track_patterns(false)).unwrap();
-        let mut stream = set.stream();
-        stream.feed(b"b");
-        let _ = stream.set_matches();
-    }
-
-    #[test]
-    #[should_panic(expected = "per-rule verdicts require pattern tracking")]
-    fn untracked_set_panics_on_stream_set_verdict() {
-        let set = RegexSet::new(["a", "b"], &Regex::builder().track_patterns(false)).unwrap();
-        let _ = set.stream().set_verdict();
-    }
-
-    #[test]
     fn empty_regex_set_has_empty_verdicts() {
         let set = RegexSet::new([], &Regex::builder().mode(MatchMode::Contains)).unwrap();
         assert_eq!(set.len(), 0);
@@ -1633,7 +1449,6 @@ mod tests {
         // One shard, the void automaton, with no members.
         let [shard] = set.shards() else { panic!("the empty set is one shard") };
         assert!(shard.is_empty() && !shard.is_gated() && !shard.is_fallback());
-        assert!(set.tracks_patterns());
         let hays: [&[u8]; 3] = [b"x", b"", &[b'y'; 9000]];
         let batch = set.matches_batch(&hays);
         assert_eq!(batch.len(), 3);
@@ -1727,18 +1542,6 @@ mod tests {
         assert_eq!(set.size_report().to_json(), set.regex().size_report().to_json());
         assert_eq!(set.size_report().shards, 1);
         assert_eq!(set.matches(b"GET /x HEAD /status").iter().collect::<Vec<_>>(), vec![0, 2, 3]);
-
-        // Untracked rules still sit in one shard; the collapsed union
-        // answers any-match only, and tracking stays `track_patterns ||
-        // distinct rules ≤ 1`.
-        let untracked = Regex::builder().mode(MatchMode::Contains).track_patterns(false);
-        let set = RegexSet::new(patterns, &untracked).unwrap();
-        assert_eq!(set.shards()[0].members(), &[0, 1, 2]);
-        assert!(!set.tracks_patterns());
-        assert_eq!(set.match_batch(&[&b"POST /login"[..], b"PUT /"]), vec![true, false]);
-        let one_rule = RegexSet::new(["GET /[a-z]+", "GET /([a-z]+)"], &untracked).unwrap();
-        assert!(one_rule.tracks_patterns());
-        assert_eq!(one_rule.shards()[0].members(), &[0]);
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! Tracking which rule of a `Contains`-mode set matched makes the
 //! combined DFA remember *which* rules already hit — and since every
 //! hit-combination of independent rules is reachable, the product DFA
-//! grows with up to `2^rules` (the ids_scan ruleset: 787 states untracked
-//! → 5 668 tracked, for only four rules). No budget on the union can fix
-//! that; the fix is to stop building one union.
+//! grows with up to `2^rules` (the ids_scan ruleset: 787 states for the
+//! plain any-match union → 5 668 with per-rule verdicts, for only four
+//! rules). No budget on the union can fix that; the fix is to stop
+//! building one union.
 //!
 //! The packer here is a greedy next-fit bin-packer driven by the real
 //! cost function: it extends the current shard one rule at a time and
@@ -16,9 +17,7 @@
 //! [`determinize_union`] of the open shard's DFA and the candidate's:
 //! the exact tagged-union DFA, built as a product without the union NFA
 //! and stopped at the budget. The last successful trial is the closed
-//! shard's DFA. An untracked set uses the same tagged fit test, which
-//! bounds its collapsed union, and determinizes that union once per
-//! closed shard. A rule that busts the budget *alone* becomes a
+//! shard's DFA. A rule that busts the budget *alone* becomes a
 //! singleton fallback shard compiled under the builder's full
 //! [`max_dfa_states`](crate::RegexBuilder::max_dfa_states) limit — one
 //! pathological rule degrades only itself, not its neighbors' packing.
@@ -42,7 +41,6 @@
 //! haystack active.
 
 use crate::chunk::pack_by_bytes_lanes;
-use crate::error::Error;
 use crate::pool::MIN_POOL_CHUNK_BYTES;
 use crate::prefilter::Prefilter;
 use crate::regex::{set_label, union_nfa, Regex, RegexBuilder};
@@ -137,10 +135,6 @@ pub(crate) struct ShardedSet {
     /// The per-shard state budget, `None` for an unsharded set.
     pub(crate) budget: Option<usize>,
     pub(crate) unique: usize,
-    /// Whether per-rule verdicts survived compilation: the builder's
-    /// [`track_patterns`](crate::RegexBuilder::track_patterns), or a set
-    /// of at most one distinct rule (which tracks for free).
-    pub(crate) tracked: bool,
     /// Per deduplicated rule, its required-literal clauses as prefilter
     /// tags: the rule can only match a haystack where every inner `Vec`
     /// has at least one marked tag. `None` for rules without a provable
@@ -166,7 +160,6 @@ impl ShardedSet {
     ) -> Result<ShardedSet, CompileError> {
         debug_assert_eq!(texts.len(), asts.len());
         let unique = asts.len();
-        let tracked = builder.track_patterns || unique <= 1;
         let Some(budget) = builder.shard_budget.filter(|_| unique > 1) else {
             let regex = builder.build_from_asts(set_label(texts), asts)?;
             let members = (0..unique as PatternId).collect();
@@ -175,7 +168,6 @@ impl ShardedSet {
                 prefilter: None,
                 budget: None,
                 unique,
-                tracked,
                 rule_reqs: vec![None; unique],
                 ungated: vec![true],
             });
@@ -238,8 +230,7 @@ impl ShardedSet {
                     // under the builder's full limits.
                     let nfa = rule_nfa(builder, &asts[i])?;
                     let dfa = determinize(&nfa, &builder.dfa)?;
-                    let regex =
-                        builder.finish_regex(texts[i].clone(), nfa.num_states(), &dfa, false)?;
+                    let regex = builder.finish_regex(texts[i].clone(), nfa.num_states(), &dfa)?;
                     shards.push(Shard {
                         regex,
                         members: vec![i as PatternId],
@@ -253,13 +244,13 @@ impl ShardedSet {
                     // retries against a fresh shard (pos not advanced).
                     let dfa = open_dfa.take().expect("an open shard has a DFA");
                     let members = std::mem::take(&mut open);
-                    shards.push(close_shard(builder, texts, &asts, &nfa_states, members, dfa)?);
+                    shards.push(close_shard(builder, texts, &nfa_states, members, dfa)?);
                 }
                 Err(e) => return Err(e),
             }
         }
         if let Some(dfa) = open_dfa {
-            shards.push(close_shard(builder, texts, &asts, &nfa_states, open, dfa)?);
+            shards.push(close_shard(builder, texts, &nfa_states, open, dfa)?);
         }
 
         // Gate shards whose every rule proves a required-literal clause
@@ -298,25 +289,7 @@ impl ShardedSet {
         let prefilter = if pairs.is_empty() { None } else { Some(Prefilter::new(pairs)) };
         let ungated: Vec<bool> = shards.iter().map(|s| !s.gated).collect();
 
-        Ok(ShardedSet {
-            shards,
-            prefilter,
-            budget: Some(budget),
-            unique,
-            tracked,
-            rule_reqs,
-            ungated,
-        })
-    }
-
-    /// `Err(PatternTrackingDisabled)` when the rules were compiled
-    /// collapsed (see [`RegexBuilder::track_patterns`](crate::RegexBuilder::track_patterns)).
-    pub(crate) fn check_tracking(&self) -> Result<(), Error> {
-        if self.tracked {
-            Ok(())
-        } else {
-            Err(Error::PatternTrackingDisabled)
-        }
+        Ok(ShardedSet { shards, prefilter, budget: Some(budget), unique, rule_reqs, ungated })
     }
 
     /// Adds shard `shard`'s local accept set `local` to `into`, a verdict
@@ -382,21 +355,16 @@ impl ShardedSet {
     /// shard's verdict, scattered through its member map. Skipped gated
     /// shards contribute nothing — sound, because without a required
     /// literal in the haystack none of their rules can match.
-    pub(crate) fn matches_with(
-        &self,
-        haystack: &[u8],
-        strategy: Strategy,
-    ) -> Result<PatternSet, Error> {
-        self.check_tracking()?;
+    pub(crate) fn matches_with(&self, haystack: &[u8], strategy: Strategy) -> PatternSet {
         let active = self.active_shards(haystack);
         let mut out = PatternSet::new(self.unique);
         for (sid, (shard, active)) in self.shards.iter().zip(active).enumerate() {
             if active {
-                let local = shard.regex.try_matches_with(haystack, strategy)?;
+                let local = shard.regex.matches_with(haystack, strategy);
                 self.scatter(&mut out, sid, local.as_pattern_set());
             }
         }
-        Ok(out)
+        out
     }
 
     /// Runs the [batch core](scan_batch) over the shards, each haystack
@@ -506,49 +474,30 @@ pub(crate) fn scan_batch(
 
 /// The NFA of one rule alone, wrapped for the builder's match mode.
 fn rule_nfa(builder: &RegexBuilder, ast: &Ast) -> Result<Nfa, CompileError> {
-    let (wrapped, _) = builder.wrap_branches(vec![ast.clone()]);
-    union_nfa(&wrapped)
+    union_nfa(&builder.wrap_branches(vec![ast.clone()]))
 }
 
 /// Compiles a closed shard from the DFA of its last successful trial,
-/// the tagged union of its members. An untracked shard of several rules
-/// compiles their collapsed union instead. After any nonempty word, the
-/// collapsed union's NFA subset is a function of the tagged union's (each
-/// rule's own states, plus the shared alternation exit and `Contains`
-/// tail, active when some rule's are), so its DFA has at most as many
-/// states and the tagged fit test keeps it within the budget.
+/// the tagged union of its members.
 fn close_shard(
     builder: &RegexBuilder,
     texts: &[String],
-    asts: &[Ast],
     nfa_states: &[usize],
     members: Vec<PatternId>,
-    tagged: Dfa,
+    dfa: Dfa,
 ) -> Result<Shard, CompileError> {
     let member_texts: Vec<String> = members.iter().map(|&u| texts[u as usize].clone()).collect();
-    let collapsed = !builder.track_patterns && members.len() > 1;
-    let (nfa_size, dfa) = if collapsed {
-        let branches = members.iter().map(|&u| asts[u as usize].clone()).collect();
-        let (wrapped, _) = builder.wrap_branches(branches);
-        let nfa = union_nfa(&wrapped)?;
-        let dfa = determinize(&nfa, &builder.dfa)?;
-        debug_assert!(dfa.num_states() <= tagged.num_states(), "the tagged union bounds it");
-        (nfa.num_states(), dfa)
-    } else {
-        // The union NFA is a fresh ε-start over every member's NFA; a
-        // single rule compiles without one.
-        let sizes = members.iter().map(|&u| nfa_states[u as usize]);
-        let size = if members.len() == 1 { sizes.sum() } else { 1 + sizes.sum::<usize>() };
-        (size, tagged)
-    };
-    let regex = builder.finish_regex(set_label(&member_texts), nfa_size, &dfa, collapsed)?;
+    // The union NFA is a fresh ε-start over every member's NFA; a single
+    // rule compiles without one.
+    let sizes = members.iter().map(|&u| nfa_states[u as usize]);
+    let nfa_size = if members.len() == 1 { sizes.sum() } else { 1 + sizes.sum::<usize>() };
+    let regex = builder.finish_regex(set_label(&member_texts), nfa_size, &dfa)?;
     Ok(Shard { regex, members, gated: false, fallback: false })
 }
 
 #[cfg(test)]
 mod tests {
     use crate::regex::{BackendChoice, MatchMode, Regex, RegexSet};
-    use crate::Error;
 
     fn builder() -> crate::RegexBuilder {
         // The caps keep the (deliberately mis-sized) combined automata in
@@ -610,21 +559,21 @@ mod tests {
     }
 
     /// The product fit trials close shards exactly where determinizing
-    /// the union NFA would: in tracked packings, the next rule in packing
-    /// order (the next shard's first) busts every closed shard's tagged
-    /// union. Tracked or not, no non-fallback shard passes the budget.
+    /// the union NFA would: the next rule in packing order (the next
+    /// shard's first) busts every closed shard's tagged union, and no
+    /// non-fallback shard passes the budget.
     #[test]
     fn fit_trials_close_shards_where_determinize_would() {
         use crate::regex::union_nfa;
         use sfa_automata::{determinize, CompileError, DfaConfig, Nfa};
         let extra = ["(?i)union.{0,8}select", "cmd=[a-z]{2,6}", "%2[ef]%2[ef]"];
         let rules = [&RULES[..], &extra[..]].concat();
-        for (budget, tracked) in [(64, true), (200, true), (64, false), (200, false)] {
-            let b = builder().shard_state_budget(budget).track_patterns(tracked);
+        for budget in [64, 200] {
+            let b = builder().shard_state_budget(budget);
             let set = RegexSet::new(rules.iter().copied(), &b).unwrap();
             let wrapped = |members: &[u32]| {
                 let asts = members.iter().map(|&u| sfa_regex_syntax::parse(rules[u as usize]));
-                b.wrap_branches(asts.collect::<Result<_, _>>().unwrap()).0
+                b.wrap_branches(asts.collect::<Result<_, _>>().unwrap())
             };
             let cfg = DfaConfig { max_states: budget, ..DfaConfig::default() };
             let shards = set.shards();
@@ -633,9 +582,6 @@ mod tests {
                 let nfa = union_nfa(&wrapped(shard.members())).unwrap();
                 assert!(determinize(&nfa, &cfg).is_ok(), "budget {budget}");
                 assert!(shard.regex().dfa().num_states() <= budget);
-            }
-            if !tracked {
-                continue;
             }
             for pair in shards.windows(2).filter(|pair| !pair[0].is_fallback()) {
                 let mut members = pair[0].members().to_vec();
@@ -725,22 +671,6 @@ mod tests {
         let m = set.matches(b"login=admin&passwd=hunter2 from 10.0.0.1");
         assert!(m.matched(0) && m.matched(1));
         assert!(!set.matches(b"login only").matched(0));
-    }
-
-    #[test]
-    fn untracked_sharded_set_does_any_match_only() {
-        let sharded =
-            RegexSet::new(RULES, &builder().shard_state_budget(64).track_patterns(false)).unwrap();
-        let tracked = RegexSet::new(RULES, &builder().shard_state_budget(64)).unwrap();
-        assert!(!sharded.tracks_patterns());
-        for hay in [&b"attack42"[..], b"benign", b"10.0.0.1"] {
-            assert_eq!(sharded.is_match(hay), tracked.is_match(hay));
-        }
-        assert_eq!(sharded.try_matches(b"attack42"), Err(Error::PatternTrackingDisabled));
-        assert_eq!(
-            sharded.try_matches_batch(&[&b"attack42"[..]]),
-            Err(Error::PatternTrackingDisabled)
-        );
     }
 
     #[test]

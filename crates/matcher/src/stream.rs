@@ -48,7 +48,6 @@
 //! assert!(!stream.feed(b"benign traffic").finish());
 //! ```
 
-use crate::error::Error;
 use crate::matches::SetMatches;
 use crate::parallel::ParallelSfaMatcher;
 use crate::regex::{Regex, RegexSet};
@@ -168,19 +167,7 @@ impl<'r> StreamMatcher<'r> {
     /// [`RegexSet::matches`](crate::RegexSet::matches) on the
     /// concatenation whatever the feed boundaries were.
     pub fn set_matches(&self) -> SetMatches {
-        match self.try_set_matches() {
-            Ok(m) => m,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible form of [`set_matches`](StreamMatcher::set_matches):
-    /// [`Error::PatternTrackingDisabled`] instead of a panic when the
-    /// regex was compiled with
-    /// [`track_patterns(false)`](crate::RegexBuilder::track_patterns).
-    pub fn try_set_matches(&self) -> Result<SetMatches, Error> {
-        self.regex.check_tracking()?;
-        Ok(SetMatches::new(self.regex.sfa().accepting_patterns(self.state).clone()))
+        SetMatches::new(self.regex.sfa().accepting_patterns(self.state).clone())
     }
 
     /// The final per-pattern verdict, if it is already decided: `Some`
@@ -196,22 +183,10 @@ impl<'r> StreamMatcher<'r> {
     ///
     /// [`Dfa::accept_set_decided_states`]: sfa_automata::Dfa::accept_set_decided_states
     pub fn set_verdict(&self) -> Option<SetMatches> {
-        match self.try_set_verdict() {
-            Ok(v) => v,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible form of [`set_verdict`](StreamMatcher::set_verdict):
-    /// [`Error::PatternTrackingDisabled`] instead of a panic when the
-    /// regex was compiled with
-    /// [`track_patterns(false)`](crate::RegexBuilder::track_patterns).
-    pub fn try_set_verdict(&self) -> Result<Option<SetMatches>, Error> {
-        self.regex.check_tracking()?;
         if self.is_saturated() || self.regex.decided_maps().set[self.dfa_image() as usize] {
-            Ok(Some(self.try_set_matches()?))
+            Some(self.set_matches())
         } else {
-            Ok(None)
+            None
         }
     }
 
@@ -313,50 +288,26 @@ impl<'s> SetStream<'s> {
     }
 
     /// The per-rule verdict over everything fed so far; the streaming
-    /// form of [`RegexSet::matches`]. Panics when the set was compiled
-    /// with [`track_patterns(false)`](crate::RegexBuilder::track_patterns)
-    /// — use [`try_set_matches`](SetStream::try_set_matches) to get the
-    /// typed [`Error`] instead.
+    /// form of [`RegexSet::matches`].
     pub fn set_matches(&self) -> SetMatches {
-        match self.try_set_matches() {
-            Ok(m) => m,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible form of [`set_matches`](SetStream::set_matches).
-    pub fn try_set_matches(&self) -> Result<SetMatches, Error> {
         let sharded = self.set.sharded();
-        sharded.check_tracking()?;
         let mut uniq = PatternSet::new(sharded.unique);
         for (shard, stream) in self.streams.iter().enumerate() {
-            sharded.scatter(&mut uniq, shard, stream.try_set_matches()?.as_pattern_set());
+            sharded.scatter(&mut uniq, shard, stream.set_matches().as_pattern_set());
         }
-        Ok(self.set.expand(uniq))
+        self.set.expand(uniq)
     }
 
     /// The final per-rule verdict, if already decided: `Some` once every
     /// shard's set verdict is frozen (see [`StreamMatcher::set_verdict`]),
-    /// `None` while any shard's rules could still change fate. Panics on
-    /// an untracked set — see
-    /// [`try_set_verdict`](SetStream::try_set_verdict).
+    /// `None` while any shard's rules could still change fate.
     pub fn set_verdict(&self) -> Option<SetMatches> {
-        match self.try_set_verdict() {
-            Ok(v) => v,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible form of [`set_verdict`](SetStream::set_verdict).
-    pub fn try_set_verdict(&self) -> Result<Option<SetMatches>, Error> {
         let sharded = self.set.sharded();
-        sharded.check_tracking()?;
         let mut uniq = PatternSet::new(sharded.unique);
         for (shard, stream) in self.streams.iter().enumerate() {
-            let Some(local) = stream.try_set_verdict()? else { return Ok(None) };
-            sharded.scatter(&mut uniq, shard, local.as_pattern_set());
+            sharded.scatter(&mut uniq, shard, stream.set_verdict()?.as_pattern_set());
         }
-        Ok(Some(self.set.expand(uniq)))
+        Some(self.set.expand(uniq))
     }
 
     /// True once every underlying stream reached a sink; further feeds

@@ -1,45 +1,19 @@
-//! An LRU cache of encoded artifacts keyed by compile configuration.
+//! An LRU cache of encoded artifacts keyed by pattern label.
 //!
 //! A multi-tenant service compiling patterns on demand pays the full
 //! determinize + SFA-construction cost on every miss; this cache lets
-//! identical `(pattern, config)` requests share one encoded artifact.
+//! identical pattern namespaces share one encoded artifact. One cache
+//! serves one compile configuration, so the label alone is the key.
 //! Values are the *encoded bytes* (`Arc<Vec<u8>>`), not live automata:
 //! they are immutable, their footprint is exact (byte-size accounting
 //! falls out for free), and a hit re-enters the same zero-copy
 //! [`load`](crate::load) path a warm file would.
 
-use sfa_core::{SfaConfig, StateIdRepr};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
-
-/// The compile-relevant identity of a cached artifact. Two requests with
-/// equal keys would compile byte-identical automata.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub struct CacheKey {
-    /// The pattern text (a set label for multi-pattern automata).
-    pub pattern: String,
-    /// Eager-construction state budget in effect.
-    pub max_states: usize,
-    /// Whether the byte table was premultiplied.
-    pub premultiply: bool,
-    /// Forced state-id width, if any.
-    pub repr: Option<StateIdRepr>,
-}
-
-impl CacheKey {
-    /// Builds the key for compiling `pattern` under `config`.
-    pub fn new(pattern: impl Into<String>, config: &SfaConfig) -> CacheKey {
-        CacheKey {
-            pattern: pattern.into(),
-            max_states: config.max_states,
-            premultiply: config.premultiply,
-            repr: config.repr,
-        }
-    }
-}
+use std::sync::{Arc, Mutex, MutexGuard};
 
 struct CacheInner {
-    entries: HashMap<CacheKey, Entry>,
+    entries: HashMap<String, Entry>,
     /// Monotone access counter; smallest tick = least recently used.
     tick: u64,
     bytes: usize,
@@ -69,23 +43,30 @@ impl CompileCache {
         }
     }
 
-    /// Looks up `key`, refreshing its recency on a hit.
-    pub fn get(&self, key: &CacheKey) -> Option<Arc<Vec<u8>>> {
-        let mut inner = self.inner.lock().unwrap();
+    /// The locked cache state. A poisoned lock means a holder panicked
+    /// between updating the map and its byte total, so neither can be
+    /// trusted any more.
+    fn lock(&self) -> MutexGuard<'_, CacheInner> {
+        self.inner.lock().expect("compile cache lock poisoned by a panicking holder")
+    }
+
+    /// Looks up `label`, refreshing its recency on a hit.
+    pub fn get(&self, label: &str) -> Option<Arc<Vec<u8>>> {
+        let mut inner = self.lock();
         inner.tick += 1;
         let tick = inner.tick;
-        let entry = inner.entries.get_mut(key)?;
+        let entry = inner.entries.get_mut(label)?;
         entry.tick = tick;
         Some(Arc::clone(&entry.value))
     }
 
     /// Inserts an encoded artifact, evicting least-recently-used entries
     /// until the byte bound holds again.
-    pub fn insert(&self, key: CacheKey, value: Arc<Vec<u8>>) {
-        let mut inner = self.inner.lock().unwrap();
+    pub fn insert(&self, label: String, value: Arc<Vec<u8>>) {
+        let mut inner = self.lock();
         inner.tick += 1;
         let tick = inner.tick;
-        if let Some(old) = inner.entries.insert(key, Entry { value: Arc::clone(&value), tick }) {
+        if let Some(old) = inner.entries.insert(label, Entry { value: Arc::clone(&value), tick }) {
             inner.bytes -= old.value.len();
         }
         inner.bytes += value.len();
@@ -103,27 +84,9 @@ impl CompileCache {
         }
     }
 
-    /// Returns the cached artifact for `key`, or encodes one with
-    /// `compile` and caches it. `compile` runs outside the cache lock, so
-    /// concurrent misses on *different* keys compile in parallel
-    /// (concurrent misses on the same key may race; last insert wins,
-    /// both callers get a correct artifact).
-    pub fn get_or_insert_with<E>(
-        &self,
-        key: &CacheKey,
-        compile: impl FnOnce() -> Result<Vec<u8>, E>,
-    ) -> Result<Arc<Vec<u8>>, E> {
-        if let Some(hit) = self.get(key) {
-            return Ok(hit);
-        }
-        let value = Arc::new(compile()?);
-        self.insert(key.clone(), Arc::clone(&value));
-        Ok(value)
-    }
-
     /// Number of cached artifacts.
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().entries.len()
+        self.lock().entries.len()
     }
 
     /// Whether the cache is empty.
@@ -133,12 +96,7 @@ impl CompileCache {
 
     /// Total encoded bytes currently held.
     pub fn bytes(&self) -> usize {
-        self.inner.lock().unwrap().bytes
-    }
-
-    /// The configured byte bound.
-    pub fn max_bytes(&self) -> usize {
-        self.max_bytes
+        self.lock().bytes
     }
 }
 
@@ -156,26 +114,17 @@ impl std::fmt::Debug for CompileCache {
 mod tests {
     use super::*;
 
-    fn key(pattern: &str) -> CacheKey {
-        CacheKey {
-            pattern: pattern.to_string(),
-            max_states: 1 << 14,
-            premultiply: true,
-            repr: None,
-        }
-    }
-
     #[test]
     fn lru_eviction_respects_recency_and_byte_bound() {
         let cache = CompileCache::new(100);
-        cache.insert(key("a"), Arc::new(vec![0; 40]));
-        cache.insert(key("b"), Arc::new(vec![0; 40]));
+        cache.insert(String::from("a"), Arc::new(vec![0; 40]));
+        cache.insert(String::from("b"), Arc::new(vec![0; 40]));
         // Touch "a" so "b" is the LRU, then overflow the bound.
-        assert!(cache.get(&key("a")).is_some());
-        cache.insert(key("c"), Arc::new(vec![0; 40]));
-        assert!(cache.get(&key("b")).is_none(), "LRU entry should be evicted");
-        assert!(cache.get(&key("a")).is_some());
-        assert!(cache.get(&key("c")).is_some());
+        assert!(cache.get("a").is_some());
+        cache.insert(String::from("c"), Arc::new(vec![0; 40]));
+        assert!(cache.get("b").is_none(), "LRU entry should be evicted");
+        assert!(cache.get("a").is_some());
+        assert!(cache.get("c").is_some());
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.bytes(), 80);
     }
@@ -183,30 +132,9 @@ mod tests {
     #[test]
     fn oversized_entries_are_admitted_alone() {
         let cache = CompileCache::new(10);
-        cache.insert(key("small"), Arc::new(vec![0; 5]));
-        cache.insert(key("huge"), Arc::new(vec![0; 500]));
-        assert!(cache.get(&key("huge")).is_some(), "oversized artifact stays cached");
+        cache.insert(String::from("small"), Arc::new(vec![0; 5]));
+        cache.insert(String::from("huge"), Arc::new(vec![0; 500]));
+        assert!(cache.get("huge").is_some(), "oversized artifact stays cached");
         assert_eq!(cache.len(), 1, "everything else is evicted for it");
-    }
-
-    #[test]
-    fn get_or_insert_compiles_once_per_key() {
-        let cache = CompileCache::new(1 << 20);
-        let mut calls = 0;
-        for _ in 0..3 {
-            let got: Result<_, ()> = cache.get_or_insert_with(&key("x"), || {
-                calls += 1;
-                Ok(vec![1, 2, 3])
-            });
-            assert_eq!(*got.unwrap(), vec![1, 2, 3]);
-        }
-        assert_eq!(calls, 1);
-        // Distinct configs are distinct artifacts.
-        let other = CacheKey { premultiply: false, ..key("x") };
-        let _: Result<_, ()> = cache.get_or_insert_with(&other, || {
-            calls += 1;
-            Ok(vec![9])
-        });
-        assert_eq!(calls, 2);
     }
 }

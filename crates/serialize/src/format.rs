@@ -16,6 +16,11 @@
 //!          convergence summary   (optional)
 //! ```
 //!
+//! The header's flags word has two bits: [`FLAG_PREMULTIPLIED`] (the
+//! byte table is present) and [`FLAG_CONVERGENCE`] (the summary is
+//! present). The loader rejects any other bit as corrupt, since the
+//! checksum does not cover the header.
+//!
 //! Every section starts 8-byte aligned. The three SFA sections are the
 //! automaton's own [table layout](sfa_core::table), copied out verbatim,
 //! so the zero-copy loader hands their ranges straight to
@@ -42,9 +47,6 @@ pub const HEADER_LEN: usize = 40;
 pub const FLAG_PREMULTIPLIED: u32 = 1 << 0;
 /// Flag bit: the artifact carries a convergence summary.
 pub const FLAG_CONVERGENCE: u32 = 1 << 1;
-/// Flag bit: the source pattern set had duplicate patterns collapsed
-/// (matcher-level metadata, stored verbatim).
-pub const FLAG_COLLAPSED: u32 = 1 << 2;
 
 /// FNV-1a over a byte string, the repo's corpus-fingerprint hash — cheap,
 /// dependency-free, and plenty for integrity (not authenticity) checks.
@@ -105,8 +107,6 @@ pub struct ArtifactSource<'a> {
     /// Opaque matcher-level mode tag (the matcher maps its `MatchMode`
     /// through this byte; this crate stores it verbatim).
     pub mode: u8,
-    /// Whether duplicate patterns were collapsed at compile time.
-    pub collapsed: bool,
     /// NFA state count of the original compilation (size reporting).
     pub nfa_states: u32,
     /// The source DFA.
@@ -162,9 +162,6 @@ impl ArtifactSource<'_> {
         }
         if self.convergence.is_some() {
             flags |= FLAG_CONVERGENCE;
-        }
-        if self.collapsed {
-            flags |= FLAG_COLLAPSED;
         }
         put_u32(&mut out, flags);
         out.push(self.sfa.repr().bytes() as u8);

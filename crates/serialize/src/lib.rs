@@ -31,7 +31,6 @@
 //! let artifact = ArtifactSource {
 //!     pattern: "(ab)*",
 //!     mode: 0,
-//!     collapsed: false,
 //!     nfa_states: 0,
 //!     dfa: &dfa,
 //!     sfa: &sfa,
@@ -54,11 +53,11 @@ mod file;
 mod format;
 mod load;
 
-pub use cache::{CacheKey, CompileCache};
+pub use cache::CompileCache;
 pub use file::ArtifactFile;
 pub use format::{
-    checksum, fnv1a, ArtifactSource, FLAG_COLLAPSED, FLAG_CONVERGENCE, FLAG_PREMULTIPLIED,
-    FORMAT_VERSION, HEADER_LEN, MAGIC,
+    checksum, fnv1a, ArtifactSource, FLAG_CONVERGENCE, FLAG_PREMULTIPLIED, FORMAT_VERSION,
+    HEADER_LEN, MAGIC,
 };
 pub use load::{load, LoadedArtifact};
 
@@ -142,7 +141,6 @@ mod tests {
         let bytes = ArtifactSource {
             pattern,
             mode: 2,
-            collapsed: true,
             nfa_states: 17,
             dfa: &dfa,
             sfa: &sfa,
@@ -163,7 +161,6 @@ mod tests {
 
             assert_eq!(loaded.pattern, "(?s).*ab(c|d)");
             assert_eq!(loaded.mode, 2);
-            assert!(loaded.collapsed);
             assert_eq!(loaded.nfa_states, 17);
             assert_eq!(loaded.dfa.num_states(), dfa.num_states());
             assert_eq!(loaded.dfa.start(), dfa.start());
@@ -277,6 +274,25 @@ mod tests {
         ));
     }
 
+    /// The checksum covers only the payload, so a flipped header flag bit
+    /// is caught by the flag check alone.
+    #[test]
+    fn unknown_header_flag_bits_fail_closed() {
+        let (bytes, _, _) = encode("(ab)*", &SfaConfig::default(), true);
+        let flags = u32::from_le_bytes(bytes[12..16].try_into().unwrap());
+        assert_eq!(flags, FLAG_PREMULTIPLIED | FLAG_CONVERGENCE);
+        for bit in [2, 31] {
+            let mut bad = bytes.clone();
+            bad[12..16].copy_from_slice(&(flags | 1 << bit).to_le_bytes());
+            match load(Arc::new(bad)).unwrap_err() {
+                ArtifactError::Corrupt { offset: 12, reason } => {
+                    assert!(reason.contains("flag"), "bit {bit}: {reason}")
+                }
+                other => panic!("bit {bit}: expected flag Corrupt, got {other:?}"),
+            }
+        }
+    }
+
     #[test]
     fn forced_reprs_round_trip() {
         for repr in [StateIdRepr::U8, StateIdRepr::U16, StateIdRepr::U32] {
@@ -340,7 +356,6 @@ mod proptests {
             let bytes = ArtifactSource {
                 pattern: "<proptest>",
                 mode: 0,
-                collapsed: false,
                 nfa_states: 0,
                 dfa: &dfa,
                 sfa: &sfa,
@@ -380,7 +395,6 @@ mod proptests {
             let mut bytes = ArtifactSource {
                 pattern: "<proptest>",
                 mode: 0,
-                collapsed: false,
                 nfa_states: 0,
                 dfa: &dfa,
                 sfa: &sfa,

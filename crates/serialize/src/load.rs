@@ -16,8 +16,8 @@
 //! checksum sweep.
 
 use crate::format::{
-    checksum, repr_from_width, FLAG_COLLAPSED, FLAG_CONVERGENCE, FLAG_PREMULTIPLIED,
-    FORMAT_VERSION, HEADER_LEN, MAGIC,
+    checksum, repr_from_width, FLAG_CONVERGENCE, FLAG_PREMULTIPLIED, FORMAT_VERSION, HEADER_LEN,
+    MAGIC,
 };
 use crate::ArtifactError;
 use sfa_analysis::ConvergenceSummary;
@@ -34,8 +34,6 @@ pub struct LoadedArtifact {
     /// The opaque matcher-level mode tag (see
     /// [`ArtifactSource::mode`](crate::ArtifactSource::mode)).
     pub mode: u8,
-    /// Whether duplicate patterns were collapsed at compile time.
-    pub collapsed: bool,
     /// NFA state count of the original compilation.
     pub nfa_states: u32,
     /// The reconstructed source DFA (validated).
@@ -55,7 +53,6 @@ impl std::fmt::Debug for LoadedArtifact {
         f.debug_struct("LoadedArtifact")
             .field("pattern", &self.pattern)
             .field("mode", &self.mode)
-            .field("collapsed", &self.collapsed)
             .field("nfa_states", &self.nfa_states)
             .field("dfa_states", &self.dfa.num_states())
             .field("sfa_states", &self.sfa.num_states())
@@ -145,6 +142,15 @@ pub fn load(data: ArtifactBytes) -> Result<LoadedArtifact, ArtifactError> {
         return Err(ArtifactError::VersionMismatch { found: version, supported: FORMAT_VERSION });
     }
     let flags = r.u32()?;
+    // The checksum skips the header, so the flags word (offset 12) is
+    // checked here: a bit this build never writes is corruption.
+    let unknown = flags & !(FLAG_PREMULTIPLIED | FLAG_CONVERGENCE);
+    if unknown != 0 {
+        return Err(ArtifactError::Corrupt {
+            offset: 12,
+            reason: format!("unknown header flag bits {unknown:#x}"),
+        });
+    }
     let width = r.u8()?;
     let repr = repr_from_width(width)
         .ok_or_else(|| r.corrupt(format!("invalid state-id width {width}")))?;
@@ -313,7 +319,6 @@ pub fn load(data: ArtifactBytes) -> Result<LoadedArtifact, ArtifactError> {
     Ok(LoadedArtifact {
         pattern,
         mode,
-        collapsed: flags & FLAG_COLLAPSED != 0,
         nfa_states,
         dfa,
         sfa,

@@ -277,3 +277,123 @@ mod tests {
         assert!(PayloadReader::new(&bad).bytes().is_err());
     }
 }
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Whether a read of untrusted bytes succeeded or failed closed, with
+    /// an `InvalidData` or `UnexpectedEof` error.
+    fn fails_closed<T>(result: &io::Result<T>) -> bool {
+        result.as_ref().map_or_else(
+            |e| matches!(e.kind(), io::ErrorKind::InvalidData | io::ErrorKind::UnexpectedEof),
+            |_| true,
+        )
+    }
+
+    /// A reader that returns the next step's byte count per `read`, the
+    /// way a socket hands out whatever has arrived.
+    struct Trickle<'a> {
+        data: &'a [u8],
+        steps: Vec<usize>,
+        next: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let step = self.steps[self.next % self.steps.len()];
+            self.next += 1;
+            let n = step.min(buf.len()).min(self.data.len());
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Arbitrary bytes, read as frames until the stream ends or
+        /// fails. A drawn length prefix is almost always far past the
+        /// data, so half the cases overwrite it with a small one to reach
+        /// the body read too.
+        #[test]
+        fn read_frame_fails_closed_on_arbitrary_bytes(
+            wire in prop::collection::vec(any::<u8>(), 0..96),
+            small_len in 0u32..100,
+            use_small in any::<bool>(),
+            steps in prop::collection::vec(1usize..8, 1..8),
+        ) {
+            let mut wire = wire;
+            if use_small && wire.len() >= 4 {
+                wire[..4].copy_from_slice(&small_len.to_le_bytes());
+            }
+            let mut reader = Trickle { data: &wire, steps, next: 0 };
+            loop {
+                let frame = read_frame(&mut reader);
+                prop_assert!(fails_closed(&frame), "{frame:?}");
+                match frame {
+                    Ok(Some((_, body))) => prop_assert!(body.len() < wire.len()),
+                    Ok(None) | Err(_) => break,
+                }
+            }
+        }
+
+        /// Every `PayloadReader` primitive, in any order, over arbitrary
+        /// bytes: each read succeeds within the payload or fails closed.
+        #[test]
+        fn payload_reader_fails_closed_on_arbitrary_bytes(
+            payload in prop::collection::vec(any::<u8>(), 0..64),
+            ops in prop::collection::vec(0u8..5, 0..12),
+            small_len in 0u32..8,
+            use_small in any::<bool>(),
+        ) {
+            // As above: give the first length prefix a chance to fit.
+            let mut payload = payload;
+            if use_small && payload.len() >= 4 {
+                payload[..4].copy_from_slice(&small_len.to_le_bytes());
+            }
+            let mut r = PayloadReader::new(&payload);
+            for op in ops {
+                let step = match op {
+                    0 => r.u32().map(|_| true),
+                    1 => r.u8().map(|_| true),
+                    2 => r.bytes().map(|_| true),
+                    3 => r.bytes_range().map(|range| range.end <= payload.len()),
+                    _ => r.string().map(|_| true),
+                };
+                prop_assert!(fails_closed(&step), "op {op}: {step:?}");
+                match step {
+                    Ok(in_bounds) => prop_assert!(in_bounds, "op {op} read past the payload"),
+                    Err(_) => break,
+                }
+            }
+            let end = r.finish();
+            prop_assert!(fails_closed(&end), "{end:?}");
+        }
+
+        /// Frames survive a reader that returns 1 to 7 bytes per `read`:
+        /// the header loop and the body read reassemble every frame, and
+        /// the stream then ends cleanly.
+        #[test]
+        fn frames_round_trip_through_short_reads(
+            frames in prop::collection::vec(
+                (any::<u8>(), prop::collection::vec(any::<u8>(), 0..40)),
+                0..6,
+            ),
+            steps in prop::collection::vec(1usize..8, 1..16),
+        ) {
+            let mut wire = Vec::new();
+            for (tag, payload) in &frames {
+                write_frame(&mut wire, *tag, payload).unwrap();
+            }
+            let mut reader = Trickle { data: &wire, steps, next: 0 };
+            for (tag, payload) in &frames {
+                let got = read_frame(&mut reader).unwrap();
+                prop_assert_eq!(got, Some((*tag, payload.clone())));
+            }
+            prop_assert_eq!(read_frame(&mut reader).unwrap(), None);
+        }
+    }
+}

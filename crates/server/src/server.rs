@@ -311,21 +311,12 @@ fn dispatch_loop(shared: &Arc<Shared>) {
                 .iter()
                 .flat_map(|j| (0..j.haystacks.len()).map(move |i| j.haystack(i)))
                 .collect();
-            match matcher.matches_batch(&flat) {
-                Ok(mut verdicts) => {
-                    // Scatter: each job takes its own haystacks' verdicts
-                    // back off the front of the flattened result.
-                    let mut rest = verdicts.drain(..);
-                    for job in &group {
-                        let own: Vec<Vec<u32>> = rest.by_ref().take(job.haystacks.len()).collect();
-                        let _ = job.reply.send(Ok(own));
-                    }
-                }
-                Err(err) => {
-                    for job in &group {
-                        let _ = job.reply.send(Err(err.clone()));
-                    }
-                }
+            // Scatter: each job takes its own haystacks' verdicts back off
+            // the front of the flattened result.
+            let mut rest = matcher.matches_batch(&flat).into_iter();
+            for job in &group {
+                let own: Vec<Vec<u32>> = rest.by_ref().take(job.haystacks.len()).collect();
+                let _ = job.reply.send(Ok(own));
             }
         }
     }

@@ -11,7 +11,9 @@
 //!    set compile once.
 //! 3. **Fresh compile** — the full pipeline; the result is encoded back
 //!    into the cache and (best effort) the artifact directory so the
-//!    *next* cold start takes tier 1.
+//!    *next* cold start takes tier 1 — but only when tiers 1 and 2 could
+//!    serve it: a list that repeats a pattern, or is empty, compiles to
+//!    another label and count than the request's and is stored nowhere.
 //!
 //! A stale, corrupt, or mode-mismatched artifact never panics and never
 //! misreports: validation failures (the typed
@@ -20,7 +22,7 @@
 
 use crate::config::ServerConfig;
 use sfa_matcher::{Error, MatchMode, Regex, RegexBuilder, RegexSet};
-use sfa_serialize::{fnv1a, CacheKey, CompileCache};
+use sfa_serialize::{fnv1a, CompileCache};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::{Arc, RwLock};
@@ -56,19 +58,19 @@ pub(crate) enum TenantMatcher {
     /// prefilter) applies.
     Compiled(RegexSet),
     /// Zero-copy artifact load — one union automaton with per-pattern
-    /// tracking; its tables live in the mapped artifact. Boxed: `Regex`
+    /// verdicts; its tables live in the mapped artifact. Boxed: `Regex`
     /// is much larger than the `RegexSet` handle.
     Artifact(Box<Regex>),
 }
 
 impl TenantMatcher {
     /// Per-haystack matched pattern ids, via one batched scan.
-    pub fn matches_batch(&self, haystacks: &[&[u8]]) -> Result<Vec<Vec<u32>>, Error> {
+    pub fn matches_batch(&self, haystacks: &[&[u8]]) -> Vec<Vec<u32>> {
         let matches = match self {
-            TenantMatcher::Compiled(set) => set.try_matches_batch(haystacks)?,
-            TenantMatcher::Artifact(re) => re.try_matches_batch(haystacks)?,
+            TenantMatcher::Compiled(set) => set.matches_batch(haystacks),
+            TenantMatcher::Artifact(re) => re.matches_batch(haystacks),
         };
-        Ok(matches.iter().map(|m| m.iter().map(|id| id as u32).collect()).collect())
+        matches.iter().map(|m| m.iter().map(|id| id as u32).collect()).collect()
     }
 
     /// Number of patterns in the namespace.
@@ -130,8 +132,20 @@ impl Tenants {
         };
 
         let count = matcher.pattern_count();
-        self.map.write().unwrap().insert(tenant.to_string(), Arc::new(matcher));
+        self.map
+            .write()
+            .expect("tenant registry lock poisoned by a panicking holder")
+            .insert(tenant.to_string(), Arc::new(matcher));
         Ok((count, source))
+    }
+
+    /// Whether `re` answers for the requested namespace: the same label,
+    /// pattern count and match mode. Tiers 1 and 2 serve only a regex
+    /// that passes, so tier 3 stores only one that passes.
+    fn serves(&self, re: &Regex, label: &str, pattern_count: usize) -> bool {
+        re.pattern() == label
+            && re.pattern_count() == pattern_count
+            && re.mode() == self.config.mode
     }
 
     /// Tier 1: durable artifact, validated against the requested
@@ -139,21 +153,13 @@ impl Tenants {
     fn try_artifact(&self, label: &str, pattern_count: usize) -> Option<Regex> {
         let path = self.artifact_path(label)?;
         let re = Regex::load_artifact(&path).ok()?;
-        (re.pattern() == label
-            && re.pattern_count() == pattern_count
-            && re.mode() == self.config.mode)
-            .then_some(re)
+        self.serves(&re, label, pattern_count).then_some(re)
     }
 
     /// Tier 2: the in-memory encoded-artifact cache.
     fn try_cache(&self, label: &str, pattern_count: usize) -> Option<Regex> {
-        let key = CacheKey::new(label, &Default::default());
-        let bytes = self.cache.get(&key)?;
-        let re = Regex::from_artifact(bytes).ok()?;
-        (re.pattern() == label
-            && re.pattern_count() == pattern_count
-            && re.mode() == self.config.mode)
-            .then_some(re)
+        let re = Regex::from_artifact(self.cache.get(label)?).ok()?;
+        self.serves(&re, label, pattern_count).then_some(re)
     }
 
     /// Tier 3: fresh compile, then warm the cache and the artifact
@@ -162,15 +168,20 @@ impl Tenants {
         let set = RegexSet::new(patterns.iter().map(|p| p.as_str()), &self.builder())
             .map_err(|e| format!("compile failed: {e}"))?;
         // Only unsharded eager automata serialize; sharded or lazy sets
-        // simply skip the warm-up (to_artifact refuses them typed-ly).
-        if !set.is_sharded() {
+        // simply skip the warm-up (to_artifact refuses them typed-ly). A
+        // list with repeated patterns, or none, compiles to another label
+        // and count than the request's, so no later registration could
+        // read its artifact: it skips the warm-up too.
+        if !set.is_sharded() && self.serves(set.regex(), label, patterns.len()) {
             if let Ok(bytes) = set.regex().to_artifact() {
                 let bytes = Arc::new(bytes);
-                self.cache.insert(CacheKey::new(label, &Default::default()), Arc::clone(&bytes));
+                self.cache.insert(label.to_string(), Arc::clone(&bytes));
                 if let Some(path) = self.artifact_path(label) {
                     // Best effort: a read-only artifact dir just means the
                     // next cold start compiles again.
-                    let _ = std::fs::create_dir_all(path.parent().unwrap());
+                    let dir =
+                        path.parent().expect("an artifact path is a file in the artifact dir");
+                    let _ = std::fs::create_dir_all(dir);
                     let _ = std::fs::write(&path, bytes.as_slice());
                 }
             }
@@ -183,7 +194,7 @@ impl Tenants {
     pub fn get(&self, tenant: &str) -> Result<Arc<TenantMatcher>, Error> {
         self.map
             .read()
-            .unwrap()
+            .expect("tenant registry lock poisoned by a panicking holder")
             .get(tenant)
             .cloned()
             .ok_or_else(|| Error::TenantUnknown { tenant: tenant.to_string() })

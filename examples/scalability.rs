@@ -17,14 +17,17 @@ fn main() {
     println!("pattern: {pattern}");
     let re = Regex::builder().max_sfa_states(2_000_000).build(&pattern).expect("compiles");
     println!(
-        "|D| = {} live states, |S_d| = {} states, SFA table = {} KiB",
+        "|D| = {} live states, |S_d| = {} states, SFA byte table = {:.1} KiB",
         re.dfa().num_live_states(),
         re.sfa().num_states(),
-        re.sfa().table_bytes() / 1024
+        re.sfa().byte_table_bytes() as f64 / 1024.0
     );
 
     let text = workloads::rn_text(n, mib * 1024 * 1024, 0x5FA);
-    println!("input: {} MiB of text accepted by the pattern", text.len() / (1024 * 1024));
+    println!(
+        "input: {:.2} MiB of text accepted by the pattern",
+        text.len() as f64 / (1024.0 * 1024.0)
+    );
 
     let best = |f: &mut dyn FnMut()| {
         let mut best = std::time::Duration::MAX;

@@ -135,3 +135,32 @@ fn identical_namespaces_share_the_compile_cache() {
     assert_eq!(got, expected_verdicts(RULES, HAYSTACKS));
     server.shutdown();
 }
+
+/// A pattern list that repeats a pattern compiles to a set over its
+/// distinct rules, and an empty one to the void set: either way the
+/// compiled label and count differ from the request's, so neither the
+/// cache nor the artifact directory could ever serve it. Nothing is
+/// stored, and every registration in both lives compiles fresh.
+#[test]
+fn repeated_or_empty_patterns_store_nothing_unreadable() {
+    const REPEATED: &[&str] = &["worm", "exploit[0-9]+", "worm"];
+    let dir = temp_dir("repeated");
+    for life in 0..2 {
+        let config = ServerConfig { artifact_dir: Some(dir.clone()), ..Default::default() };
+        let server = Server::bind_tcp("127.0.0.1:0", config).unwrap();
+        let mut client = Client::connect_tcp(server.local_addr().unwrap()).unwrap();
+        for (tenant, patterns) in [("a", REPEATED), ("b", REPEATED), ("none", &[][..])] {
+            let (count, source) = client.register(tenant, patterns).unwrap();
+            let expected = (patterns.len(), RegisterSource::CompiledFresh);
+            assert_eq!((count, source), expected, "life {life}, tenant {tenant}");
+        }
+        let got = client.matches_batch_retrying("b", &[b"a worm", b"exploit7"], 50).unwrap();
+        assert_eq!(got, vec![vec![0, 2], vec![1]], "both copies of \"worm\" report");
+        assert_eq!(client.matches_batch_retrying("none", &[b"worm"], 50).unwrap(), vec![vec![]]);
+        assert_eq!(server.cache_bytes(), 0, "life {life} cached an unreadable artifact");
+        server.shutdown();
+    }
+    let written: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+    assert!(written.is_empty(), "unreadable artifacts were written: {written:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
