@@ -143,18 +143,16 @@ impl SfaBackend {
 
     /// Runs several independent `(state, input)` jobs, in job order.
     ///
-    /// On an eager premultiplied backend this walks
-    /// [`crate::dsfa::INTERLEAVE_LANES`] jobs in lockstep to hide
-    /// table-load latency (see [`DSfa::run_from_many`]); on a lazy
-    /// backend the jobs run one by one — interleaving would multiply
-    /// read-lock traffic on the shared cache without overlapping any
-    /// table loads.
+    /// Both backends walk [`crate::dsfa::INTERLEAVE_LANES`] jobs in
+    /// lockstep to hide table-load latency: the eager premultiplied walk
+    /// over its dense table (see [`DSfa::run_from_many`]), the lazy one
+    /// under one read lock of its cache, filling a lane's missing
+    /// transition under the write lock and resuming (see
+    /// [`LazyDSfa::run_from_many`]).
     pub fn run_from_many(&self, jobs: &[(SfaStateId, &[u8])]) -> Vec<SfaStateId> {
         match self {
             SfaBackend::Eager(sfa) => sfa.run_from_many(jobs),
-            SfaBackend::Lazy(sfa) => {
-                jobs.iter().map(|&(s, input)| sfa.run_from(s, input)).collect()
-            }
+            SfaBackend::Lazy(sfa) => sfa.run_from_many(jobs),
         }
     }
 
@@ -364,9 +362,12 @@ impl SfaBackend {
 
     /// How many interleaved sub-chunks a worker should drive through one
     /// batched scan of a single large haystack (see
-    /// [`DSfa::preferred_lanes`]). Lazy backends report 1 — their batch
-    /// path runs jobs one by one, so splitting a chunk would only add
-    /// composition work.
+    /// [`DSfa::preferred_lanes`]). Lazy backends report 1: splitting a
+    /// chunk into lanes would add lazy compositions
+    /// ([`LazyDSfa::compose_states`]), which intern states no input
+    /// walked to. Their [`run_from_many`](SfaBackend::run_from_many) still
+    /// walks four lanes when it is handed separate haystacks, which
+    /// compose nothing.
     pub fn preferred_lanes(&self) -> usize {
         match self {
             SfaBackend::Eager(sfa) => sfa.preferred_lanes(),

@@ -25,6 +25,10 @@
 //! exclude each other, so workers scan concurrently without serializing),
 //! and only a cache miss drops to the write lock, re-checking the slot
 //! after acquiring it in case another worker filled it in the meantime.
+//! A batch of independent jobs ([`run_from_many`](LazyDSfa::run_from_many))
+//! walks four of them in lockstep under one read lock the same way: a
+//! miss in any lane fills that lane's transition under the write lock,
+//! and the four lanes resume together.
 //!
 //! ## Knobs and limits
 //!
@@ -56,7 +60,7 @@
 //! 4× width costs little in practice; [`SfaConfig::repr`](crate::SfaConfig)
 //! is therefore ignored here.
 
-use crate::dsfa::{RowIndex, SfaStateId};
+use crate::dsfa::{RowIndex, SfaStateId, INTERLEAVE_LANES};
 use crate::mapping::Transformation;
 use sfa_automata::{CompileError, Dfa, PatternSet, StateId};
 use std::sync::RwLock;
@@ -336,6 +340,76 @@ impl LazyDSfa {
         f
     }
 
+    /// Runs several independent `(state, input)` jobs, walking
+    /// [`INTERLEAVE_LANES`] of them in lockstep, and returns their end
+    /// states in job order — each equal to `run_from(state, input)`.
+    ///
+    /// Each group of four walks its common prefix length under one read
+    /// lock, so a warm cache serves the whole group with one lock
+    /// acquisition and four independent lookup chains in flight, as the
+    /// eager [`DSfa::run_from_many`](crate::DSfa::run_from_many) does. At
+    /// the first position where some lane's transition is not cached yet,
+    /// the walk drops the read lock, fills that one transition under the
+    /// write lock ([`next_state`](LazyDSfa::next_state)) and resumes at the
+    /// same position. There is no per-byte sink branch: a sink's mapping
+    /// maps every byte back to itself, so walking it interns no new state.
+    /// Each tail then finishes through [`run_from`](LazyDSfa::run_from),
+    /// which keeps the sink exit. A lane therefore materializes exactly
+    /// the states its own `run_from` would: the lockstep changes the order
+    /// states are interned in (and so their ids), never which ones.
+    pub fn run_from_many(&self, jobs: &[(SfaStateId, &[u8])]) -> Vec<SfaStateId> {
+        let mut out = Vec::with_capacity(jobs.len());
+        let mut groups = jobs.chunks_exact(INTERLEAVE_LANES);
+        for group in groups.by_ref() {
+            let mut f = [group[0].0, group[1].0, group[2].0, group[3].0];
+            let inputs = [group[0].1, group[1].1, group[2].1, group[3].1];
+            let common = inputs.iter().map(|s| s.len()).min().unwrap_or(0);
+            let mut at = 0;
+            while at < common {
+                if let Some(lane) = self.walk_lanes(&mut f, &inputs, &mut at, common) {
+                    self.next_state(f[lane], inputs[lane][at]);
+                }
+            }
+            for (lane, input) in inputs.iter().enumerate() {
+                out.push(self.run_from(f[lane], &input[at..]));
+            }
+        }
+        out.extend(groups.remainder().iter().map(|&(s, input)| self.run_from(s, input)));
+        out
+    }
+
+    /// The lockstep hot loop of [`run_from_many`](LazyDSfa::run_from_many):
+    /// advances all four lanes from position `*at` towards `common` under
+    /// one read lock. Returns the first lane whose next transition is not
+    /// cached, with `*at` left on the byte it misses (no lane has taken
+    /// it), or `None` once every lane has walked to `common`.
+    fn walk_lanes(
+        &self,
+        f: &mut [SfaStateId; INTERLEAVE_LANES],
+        inputs: &[&[u8]; INTERLEAVE_LANES],
+        at: &mut usize,
+        common: usize,
+    ) -> Option<usize> {
+        let stride = self.dfa.num_classes();
+        let classes = self.dfa.classes();
+        let inner = self.inner.read().expect(POISONED);
+        let table = &inner.table;
+        let (a, b) = (&inputs[0][..common], &inputs[1][..common]);
+        let (c, d) = (&inputs[2][..common], &inputs[3][..common]);
+        let step =
+            |f: SfaStateId, byte: u8| table[f as usize * stride + classes.class_of(byte) as usize];
+        for i in *at..common {
+            let next = [step(f[0], a[i]), step(f[1], b[i]), step(f[2], c[i]), step(f[3], d[i])];
+            if let Some(lane) = next.iter().position(|&n| n == NONE) {
+                *at = i;
+                return Some(lane);
+            }
+            *f = next;
+        }
+        *at = common;
+        None
+    }
+
     /// Whole-input membership.
     pub fn accepts(&self, input: &[u8]) -> bool {
         self.is_accepting(self.run(input))
@@ -394,6 +468,7 @@ impl LazyDSfa {
 mod tests {
     use super::*;
     use crate::dsfa::DSfa;
+    use proptest::prelude::*;
 
     #[test]
     fn lazy_matches_eager_semantics() {
@@ -589,5 +664,66 @@ mod tests {
         });
         // Never more states than the eager construction.
         assert!(lazy.num_states_constructed() <= eager.num_states());
+    }
+
+    /// The minimal DFA of a generated pattern over `a`–`d`, or `None`
+    /// when it busts a small state budget.
+    fn generated_dfa(seed: u64) -> Option<Dfa> {
+        use rand::{rngs::StdRng, SeedableRng};
+        use sfa_automata::{determinize, minimize, DfaConfig, Nfa};
+        use sfa_regex_syntax::generator::{AstGenerator, GeneratorConfig};
+        let generator = AstGenerator::with_config(GeneratorConfig {
+            max_depth: 3,
+            max_width: 3,
+            max_repeat: 3,
+            alphabet: sfa_regex_syntax::ByteSet::range(b'a', b'd'),
+            repeat_bias: 0.35,
+        });
+        let nfa = Nfa::from_ast(&generator.generate(&mut StdRng::seed_from_u64(seed))).ok()?;
+        let dfa = determinize(&nfa, &DfaConfig { max_states: 300, ..Default::default() }).ok()?;
+        Some(minimize(&dfa))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// `run_from_many` on a cold cache ends every job where a one-lane
+        /// `run_from` on a second cold cache ends it, and both caches end
+        /// with the same number of states: the lockstep walk materializes
+        /// nothing the one-lane walks would not. The jobs are ragged and
+        /// start from arbitrary materialized states; the first is empty
+        /// and the second steps out of the pattern's alphabet (`z`), which
+        /// sends its lane into the all-dead sink.
+        #[test]
+        fn lockstep_on_a_cold_cache_matches_one_lane_runs(
+            seed in any::<u64>(),
+            warm in prop::collection::vec("[a-d]{0,8}", 0..4),
+            jobs in prop::collection::vec((any::<prop::sample::Index>(), "[a-dz]{0,40}"), 5..14),
+        ) {
+            let Some(dfa) = generated_dfa(seed) else { return Ok(()) };
+            let (many, one) = (LazyDSfa::new(dfa.clone()), LazyDSfa::new(dfa));
+            // Identical warm-ups give both caches the same states and ids.
+            for word in &warm {
+                many.run(word.as_bytes());
+                one.run(word.as_bytes());
+            }
+            let warmed = many.num_states_constructed();
+            prop_assert_eq!(one.num_states_constructed(), warmed);
+            let mut inputs: Vec<Vec<u8>> = jobs.iter().map(|(_, s)| s.clone().into_bytes()).collect();
+            inputs[0].clear();
+            let middle = inputs[1].len() / 2;
+            inputs[1].insert(middle, b'z');
+            let batch: Vec<(SfaStateId, &[u8])> = jobs
+                .iter()
+                .zip(&inputs)
+                .map(|((start, _), input)| (start.index(warmed) as SfaStateId, &input[..]))
+                .collect();
+            let ends = many.run_from_many(&batch);
+            prop_assert!(many.is_sink(ends[1]));
+            for (&(start, input), &end) in batch.iter().zip(&ends) {
+                prop_assert_eq!(many.mapping(end), one.mapping(one.run_from(start, input)));
+            }
+            prop_assert_eq!(many.num_states_constructed(), one.num_states_constructed());
+        }
     }
 }

@@ -362,8 +362,8 @@ impl Engine {
     ///
     /// `max_lanes` comes from the backend
     /// (`SfaBackend::preferred_lanes`): 4 for the scalar lockstep walk, 1
-    /// when splitting cannot help (shuffle kernel, lazy backend, no
-    /// premultiplied table). The plan
+    /// when splitting cannot help (shuffle kernel, no premultiplied table)
+    /// or would intern states (the lazy backend's compositions). The plan
     /// clamps it so every lane keeps at least [`MIN_POOL_CHUNK_BYTES`] —
     /// below that floor the O(|D|) compositions and ragged tails outweigh
     /// the latency hiding, the same economics as the inline floor for

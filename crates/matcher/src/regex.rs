@@ -741,13 +741,14 @@ impl Regex {
     /// (typically small) inputs across workers, paying one pool hand-off
     /// for the whole batch instead of one dispatch decision per call. The
     /// haystacks are packed into byte-bounded groups, and each group is
-    /// scanned through the backend's lanes
-    /// ([`SfaBackend::run_from_many`]): several haystacks walk the SFA
-    /// from the identity state in lockstep, which hides table-load
-    /// latency. A haystack large enough that a plain
-    /// [`is_match`](Regex::is_match) would cut it into pool chunks runs
-    /// Algorithm 5 across the workers instead, so a size-skewed batch
-    /// never serializes its biggest element on one worker.
+    /// one job, scanned through the backend's lanes
+    /// ([`SfaBackend::run_from_many`]): four haystacks walk the SFA from
+    /// the identity state in lockstep, on the scalar eager walk and the
+    /// lazy backend alike, which hides table-load latency. A haystack
+    /// large enough that a plain [`is_match`](Regex::is_match) would cut
+    /// it into pool chunks runs Algorithm 5 across the workers instead,
+    /// so a size-skewed batch never serializes its biggest element on
+    /// one worker.
     ///
     /// The groups drain through the engine's workers together. A batch
     /// runs inline on the calling thread instead when
@@ -756,7 +757,8 @@ impl Regex {
     /// bytes split over `threads` workers, capped at the engine's worker
     /// count, leave each under [`MIN_POOL_CHUNK_BYTES`](crate::MIN_POOL_CHUNK_BYTES)).
     /// This is the same core [`RegexSet::match_batch`] runs, with this
-    /// regex as the one shard and every haystack active.
+    /// regex as the one shard and every haystack active; a set's jobs
+    /// also run its prefilter over their own haystacks first.
     ///
     /// ```
     /// use sfa_matcher::Regex;
@@ -792,7 +794,7 @@ impl Regex {
     /// APIs are views of [`run`](Regex::run).
     fn batch_states(&self, haystacks: &[&[u8]]) -> Vec<StateId> {
         let mut finals = vec![self.dfa.start(); haystacks.len()];
-        scan_batch(&[self], haystacks, |_, _| true, |i, _, q| finals[i] = q);
+        scan_batch(&[self], haystacks, |_, _, active| active.fill(true), |i, _, q| finals[i] = q);
         finals
     }
 }

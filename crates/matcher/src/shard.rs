@@ -38,7 +38,9 @@
 //! shard over all its rules. This module also holds the one batch core
 //! (`scan_batch`) that every batch API runs — a set over its shards
 //! behind the prefilter, a plain [`Regex`] as one shard with every
-//! haystack active.
+//! haystack active. The core is haystack-major: one pool job takes a
+//! group of haystacks, runs the prefilter over them and scans each shard
+//! they need, four haystacks in lockstep.
 
 use crate::chunk::pack_by_bytes_lanes;
 use crate::pool::MIN_POOL_CHUNK_BYTES;
@@ -49,6 +51,7 @@ use sfa_automata::{
     determinize, determinize_union, CompileError, Dfa, DfaConfig, Nfa, PatternId, PatternSet,
     StateId,
 };
+use sfa_core::dsfa::INTERLEAVE_LANES;
 use sfa_core::{SfaStateId, StateIdRepr};
 use sfa_regex_syntax::literal::required_literal_clauses;
 use sfa_regex_syntax::Ast;
@@ -300,23 +303,17 @@ impl ShardedSet {
         }
     }
 
-    /// The prefilter's tag universe (0 without a prefilter) — the scratch
-    /// size [`Self::active_shards_into`] needs for its literal marks.
-    fn tag_count(&self) -> usize {
-        self.prefilter.as_ref().map_or(0, Prefilter::tag_count)
-    }
-
-    /// Computes into `active` which shards must run on `haystack`:
-    /// ungated shards always, gated shards only when some member rule has
-    /// every required-literal clause satisfied. `marks` is reusable
-    /// scratch of at least [`Self::tag_count`] bools (overwritten here);
-    /// batch callers pass the same buffers for every haystack so the
-    /// per-haystack cost is one prefilter scan and zero allocations.
-    fn active_shards_into(&self, haystack: &[u8], marks: &mut [bool], active: &mut Vec<bool>) {
-        active.clear();
-        active.extend_from_slice(&self.ungated);
+    /// Sets in `active` (one flag per shard) which shards must run on
+    /// `haystack`: ungated shards always, gated shards only when some
+    /// member rule has every required-literal clause satisfied. `marks` is
+    /// scratch for the prefilter's literal marks, sized and cleared here;
+    /// batch jobs pass the same buffers for each of their haystacks, so
+    /// the per-haystack cost is one prefilter scan and no allocation.
+    fn active_shards_into(&self, haystack: &[u8], marks: &mut Vec<bool>, active: &mut [bool]) {
+        active.copy_from_slice(&self.ungated);
         let Some(prefilter) = &self.prefilter else { return };
-        marks.fill(false);
+        marks.clear();
+        marks.resize(prefilter.tag_count(), false);
         if prefilter.scan_into(haystack, marks) == 0 {
             // No literal occurs at all: no gated shard can activate.
             return;
@@ -337,9 +334,8 @@ impl ShardedSet {
     /// One-shot [`Self::active_shards_into`] for the single-haystack
     /// entry points.
     fn active_shards(&self, haystack: &[u8]) -> Vec<bool> {
-        let mut marks = vec![false; self.tag_count()];
-        let mut active = Vec::with_capacity(self.shards.len());
-        self.active_shards_into(haystack, &mut marks, &mut active);
+        let mut active = vec![false; self.shards.len()];
+        self.active_shards_into(haystack, &mut Vec::new(), &mut active);
         active
     }
 
@@ -368,25 +364,18 @@ impl ShardedSet {
     }
 
     /// Runs the [batch core](scan_batch) over the shards, each haystack
-    /// only on the shards its prefilter pass leaves active: one
-    /// prefilter pass per haystack, flattened into a single allocation
-    /// for the whole batch (bit `i * shards + sid` says shard `sid` must
-    /// run on haystack `i`) plus reused scan scratch.
+    /// only on the shards the prefilter leaves active for it. The
+    /// prefilter runs inside the batch's jobs, on the workers.
     pub(crate) fn scan_active(
         &self,
         haystacks: &[&[u8]],
         visit: impl FnMut(usize, usize, StateId),
     ) {
-        let ns = self.shards.len();
-        let mut actives = vec![false; haystacks.len() * ns];
-        let mut marks = vec![false; self.tag_count()];
-        let mut active = Vec::with_capacity(ns);
-        for (i, h) in haystacks.iter().enumerate() {
-            self.active_shards_into(h, &mut marks, &mut active);
-            actives[i * ns..(i + 1) * ns].copy_from_slice(&active);
-        }
         let regexes: Vec<&Regex> = self.shards.iter().map(Shard::regex).collect();
-        scan_batch(&regexes, haystacks, |i, sid| actives[i * ns + sid], visit);
+        let active_into = |h: &[u8], marks: &mut Vec<bool>, active: &mut [bool]| {
+            self.active_shards_into(h, marks, active)
+        };
+        scan_batch(&regexes, haystacks, active_into, visit);
     }
 }
 
@@ -395,80 +384,93 @@ impl ShardedSet {
 /// haystack active, [`RegexSet::match_batch`](crate::RegexSet::match_batch)
 /// and its siblings over the set's shards behind the prefilter.
 ///
-/// Every (shard, haystack) pair that `is_active(haystack, shard)` admits
-/// is scanned once, and `visit(haystack, shard, q)` receives its final
-/// DFA state `q` on the calling thread. All pairs run as **one** engine
-/// batch: each shard's active haystacks are packed into groups of about
-/// [`MIN_POOL_CHUNK_BYTES`], closed only on full lane complements of the
-/// shard backend's
-/// [`preferred_lanes`](sfa_core::SfaBackend::preferred_lanes), and every
-/// (shard, group) pair becomes one job. Inside a job the group is
-/// scanned from the identity state with
+/// `active_into(haystack, scratch, active)` sets `active[shard]` for
+/// every shard that must scan `haystack` (`scratch` is job-local and
+/// starts empty). Each pair it admits is scanned once, and
+/// `visit(haystack, shard, q)` receives the pair's final DFA state `q` on
+/// the calling thread.
+///
+/// The batch is haystack-major. The haystacks are packed in order into
+/// groups of about [`MIN_POOL_CHUNK_BYTES`], closed only on full
+/// complements of [`INTERLEAVE_LANES`], and each group is **one** job: it
+/// computes its haystacks' active shards, then scans each active shard's
+/// haystacks of the group from the identity state with one
 /// [`SfaBackend::run_from_many`](sfa_core::SfaBackend::run_from_many),
-/// which walks [`INTERLEAVE_LANES`](sfa_core::dsfa::INTERLEAVE_LANES)
-/// haystacks in lockstep on eager backends; the final DFA state is the
-/// end state's mapping applied to the DFA start state (Lemma 1). Jobs
-/// from all shards drain through the pool together, so hundreds of
-/// shards cost one hand-off, not one each.
+/// which walks four haystacks in lockstep on the scalar eager walk and on
+/// the lazy backend. The final DFA state is the end state's mapping applied to the
+/// DFA start state (Lemma 1). The jobs drain through the pool together:
+/// the prefilter runs on the workers, and hundreds of shards cost one
+/// hand-off, not one each.
 ///
 /// Two rules decide where the work runs:
 ///
 /// * a haystack whose own [`Engine::plan_chunks`](crate::Engine::plan_chunks)
-///   uses the pool runs Algorithm 5 across the workers (the builder's
-///   `threads` and reduction) instead of joining a group;
+///   uses the pool joins no group: its active shards are found on the
+///   calling thread, and each runs Algorithm 5 across the workers (the
+///   builder's `threads` and reduction);
 /// * the jobs run inline on the calling thread when `threads` is 1, the
-///   engine has one worker, or each worker's share of the grouped bytes
-///   is under [`MIN_POOL_CHUNK_BYTES`].
+///   engine has one worker, or each worker's share of the grouped
+///   haystacks' bytes is under [`MIN_POOL_CHUNK_BYTES`].
 ///
 /// Every shard of a set comes from one builder, so the first shard's
 /// engine and `threads` speak for all of them.
 pub(crate) fn scan_batch(
     regexes: &[&Regex],
     haystacks: &[&[u8]],
-    is_active: impl Fn(usize, usize) -> bool,
+    active_into: impl Fn(&[u8], &mut Vec<bool>, &mut [bool]) + Sync,
     mut visit: impl FnMut(usize, usize, StateId),
 ) {
     let Some(lead) = regexes.first() else { return };
     let (engine, threads) = (lead.engine(), lead.threads());
-    let mut jobs: Vec<(usize, Vec<usize>)> = Vec::new();
-    let mut total = 0usize;
-    for (sid, regex) in regexes.iter().enumerate() {
-        let mut idxs: Vec<usize> = Vec::new();
-        for (i, h) in haystacks.iter().enumerate() {
-            if !is_active(i, sid) {
-                continue;
-            }
-            // Only `threads > 1` uses the pool, and there Auto is Algorithm 5.
-            if engine.plan_chunks(h.len(), threads).use_pool {
-                visit(i, sid, regex.run(h, Strategy::Auto));
-            } else {
-                idxs.push(i);
-            }
+    let shards = regexes.len();
+    let (mut scratch, mut active) = (Vec::new(), vec![false; shards]);
+    let mut grouped: Vec<usize> = Vec::with_capacity(haystacks.len());
+    for (i, h) in haystacks.iter().enumerate() {
+        // Only `threads > 1` uses the pool, and there Auto is Algorithm 5.
+        if !engine.plan_chunks(h.len(), threads).use_pool {
+            grouped.push(i);
+            continue;
         }
-        let sizes: Vec<usize> = idxs.iter().map(|&i| haystacks[i].len()).collect();
-        total += sizes.iter().sum::<usize>();
-        let lanes = regex.sfa().preferred_lanes();
-        for range in pack_by_bytes_lanes(&sizes, MIN_POOL_CHUNK_BYTES, lanes) {
-            jobs.push((sid, idxs[range].to_vec()));
+        active_into(h, &mut scratch, &mut active);
+        for (sid, regex) in regexes.iter().enumerate().filter(|&(sid, _)| active[sid]) {
+            visit(i, sid, regex.run(h, Strategy::Auto));
         }
     }
+    let sizes: Vec<usize> = grouped.iter().map(|&i| haystacks[i].len()).collect();
     let workers = threads.clamp(1, engine.workers());
-    let pooled = workers > 1 && total / workers >= MIN_POOL_CHUNK_BYTES;
-    let scanned = engine.map_chunks(jobs, pooled, |_, (sid, idxs)| {
-        let backend = regexes[sid].sfa();
-        let init = backend.initial();
-        let scan: Vec<(SfaStateId, &[u8])> = idxs.iter().map(|&i| (init, haystacks[i])).collect();
-        let finals: Vec<StateId> = backend
-            .run_from_many(&scan)
-            .into_iter()
-            .map(|f| backend.apply(f, backend.dfa_start()))
-            .collect();
-        (sid, idxs, finals)
-    });
-    for (sid, idxs, finals) in scanned {
-        for (i, q) in idxs.into_iter().zip(finals) {
-            visit(i, sid, q);
+    let pooled = workers > 1 && sizes.iter().sum::<usize>() / workers >= MIN_POOL_CHUNK_BYTES;
+    let groups = pack_by_bytes_lanes(&sizes, MIN_POOL_CHUNK_BYTES, INTERLEAVE_LANES);
+    let scanned = engine.map_chunks(groups, pooled, |_, group| {
+        let members = &grouped[group];
+        let mut scratch = Vec::new();
+        let mut actives = vec![false; members.len() * shards];
+        for (&i, row) in members.iter().zip(actives.chunks_exact_mut(shards)) {
+            active_into(haystacks[i], &mut scratch, row);
         }
+        let mut finals: Vec<(usize, usize, StateId)> = Vec::new();
+        let mut ids: Vec<usize> = Vec::with_capacity(members.len());
+        let mut jobs: Vec<(SfaStateId, &[u8])> = Vec::with_capacity(members.len());
+        for (sid, regex) in regexes.iter().enumerate() {
+            let backend = regex.sfa();
+            ids.clear();
+            for (&i, row) in members.iter().zip(actives.chunks_exact(shards)) {
+                if row[sid] {
+                    ids.push(i);
+                }
+            }
+            if ids.is_empty() {
+                continue;
+            }
+            jobs.clear();
+            jobs.extend(ids.iter().map(|&i| (backend.initial(), haystacks[i])));
+            for (&i, f) in ids.iter().zip(backend.run_from_many(&jobs)) {
+                finals.push((i, sid, backend.apply(f, backend.dfa_start())));
+            }
+        }
+        finals
+    });
+    for (i, sid, q) in scanned.into_iter().flatten() {
+        visit(i, sid, q);
     }
 }
 
@@ -497,7 +499,9 @@ fn close_shard(
 
 #[cfg(test)]
 mod tests {
+    use crate::pool::MIN_POOL_CHUNK_BYTES;
     use crate::regex::{BackendChoice, MatchMode, Regex, RegexSet};
+    use crate::{Engine, Strategy};
 
     fn builder() -> crate::RegexBuilder {
         // The caps keep the (deliberately mis-sized) combined automata in
@@ -556,6 +560,32 @@ mod tests {
         let hays: Vec<&[u8]> = vec![b"attack77", b"nothing", b"overflowed exploitme"];
         assert_eq!(sharded.matches_batch(&hays), unsharded.matches_batch(&hays));
         assert_eq!(sharded.match_batch(&hays), unsharded.match_batch(&hays));
+
+        // A pooled batch on a fresh lazy set: three workers share the
+        // prefilter and every shard's cold cache. The small haystacks
+        // repeat (at ragged lengths) until each worker's share passes the
+        // pool floor, and one haystack is big enough to run Algorithm 5
+        // on its own.
+        let engine = Engine::new(3);
+        let lazy = builder().backend(BackendChoice::Lazy).engine(engine.clone()).threads(3);
+        let lazy = RegexSet::new(AGREE_RULES, &lazy.shard_state_budget(64)).unwrap();
+        assert!(lazy.shards().len() > 1);
+        let small = [&hays[..], &[&b"exploitok and ETC/PASSWD"[..], b""][..]].concat();
+        let mut owned: Vec<Vec<u8>> = Vec::new();
+        while owned.iter().map(Vec::len).sum::<usize>() / 3 < 2 * MIN_POOL_CHUNK_BYTES {
+            let k = owned.len();
+            owned.push(small[k % small.len()].repeat(1 + k % 7));
+        }
+        let mut big = b"benign line, ".repeat(4 * MIN_POOL_CHUNK_BYTES / 13);
+        big.extend_from_slice(b"attack42");
+        assert!(engine.plan_chunks(big.len(), 3).use_pool);
+        owned.insert(owned.len() / 2, big);
+        let hays: Vec<&[u8]> = owned.iter().map(Vec::as_slice).collect();
+        let (verdicts, any) = (lazy.matches_batch(&hays), lazy.match_batch(&hays));
+        for (hay, (got, any)) in hays.iter().zip(verdicts.iter().zip(any)) {
+            let want = lazy.matches_with(hay, Strategy::Sequential);
+            assert_eq!((got, any), (&want, want.matched_any()), "{:?}", &hay[..hay.len().min(32)]);
+        }
     }
 
     /// The product fit trials close shards exactly where determinizing

@@ -15,8 +15,11 @@
 //!    serve it: a list that repeats a pattern, or is empty, compiles to
 //!    another label and count than the request's and is stored nowhere.
 //!
-//! A stale, corrupt, or mode-mismatched artifact never panics and never
-//! misreports: validation failures (the typed
+//! Both tiers are keyed on the pattern *list*, each pattern prefixed by
+//! its length ([`namespace_key`]), not on the `|`-joined label: `["a|b",
+//! "c"]` and `["a", "b|c"]` join to one label and count, yet are
+//! different namespaces. A stale, corrupt, or mode-mismatched artifact
+//! never panics and never misreports: validation failures (the typed
 //! [`ArtifactError`](sfa_serialize::ArtifactError) surface) simply drop
 //! to the next tier.
 
@@ -82,6 +85,13 @@ impl TenantMatcher {
     }
 }
 
+/// The key both stored tiers file a pattern list under: every pattern
+/// prefixed by its byte length, so no two lists share one (`["a|b", "c"]`
+/// is `3:a|b1:c`, `["a", "b|c"]` is `1:a3:b|c`).
+fn namespace_key(patterns: &[String]) -> String {
+    patterns.iter().map(|p| format!("{}:{p}", p.len())).collect()
+}
+
 /// The tenant registry plus the shared compile cache.
 pub(crate) struct Tenants {
     config: ServerConfig,
@@ -100,16 +110,16 @@ impl Tenants {
     }
 
     /// The artifact path for a pattern namespace: content-addressed over
-    /// the match mode and the set label, so differently-configured
-    /// servers sharing a directory never collide.
-    fn artifact_path(&self, label: &str) -> Option<PathBuf> {
+    /// the match mode and the [namespace key](namespace_key), so
+    /// differently-configured servers sharing a directory never collide.
+    fn artifact_path(&self, key: &str) -> Option<PathBuf> {
         let dir = self.config.artifact_dir.as_ref()?;
         let mode = match self.config.mode {
             MatchMode::Whole => 0u8,
             MatchMode::Contains => 1u8,
         };
         let mut keyed = vec![mode];
-        keyed.extend_from_slice(label.as_bytes());
+        keyed.extend_from_slice(key.as_bytes());
         Some(dir.join(format!("{:016x}.sfa", fnv1a(&keyed))))
     }
 
@@ -121,14 +131,14 @@ impl Tenants {
         tenant: &str,
         patterns: &[String],
     ) -> Result<(usize, RegisterSource), String> {
-        let label = patterns.join("|");
+        let (key, label) = (namespace_key(patterns), patterns.join("|"));
 
-        let (matcher, source) = if let Some(re) = self.try_artifact(&label, patterns.len()) {
+        let (matcher, source) = if let Some(re) = self.try_artifact(&key, &label, patterns.len()) {
             (TenantMatcher::Artifact(Box::new(re)), RegisterSource::Artifact)
-        } else if let Some(re) = self.try_cache(&label, patterns.len()) {
+        } else if let Some(re) = self.try_cache(&key, &label, patterns.len()) {
             (TenantMatcher::Artifact(Box::new(re)), RegisterSource::Cache)
         } else {
-            (self.compile(&label, patterns)?, RegisterSource::CompiledFresh)
+            (self.compile(&key, &label, patterns)?, RegisterSource::CompiledFresh)
         };
 
         let count = matcher.pattern_count();
@@ -140,8 +150,11 @@ impl Tenants {
     }
 
     /// Whether `re` answers for the requested namespace: the same label,
-    /// pattern count and match mode. Tiers 1 and 2 serve only a regex
-    /// that passes, so tier 3 stores only one that passes.
+    /// pattern count and match mode. The [key](namespace_key) finds the
+    /// stored artifact; this check refuses one that does not fit it (a
+    /// file another build or mode wrote, or a hash collision). Tiers 1
+    /// and 2 serve only a regex that passes, so tier 3 stores only one
+    /// that passes.
     fn serves(&self, re: &Regex, label: &str, pattern_count: usize) -> bool {
         re.pattern() == label
             && re.pattern_count() == pattern_count
@@ -150,21 +163,26 @@ impl Tenants {
 
     /// Tier 1: durable artifact, validated against the requested
     /// namespace before use.
-    fn try_artifact(&self, label: &str, pattern_count: usize) -> Option<Regex> {
-        let path = self.artifact_path(label)?;
+    fn try_artifact(&self, key: &str, label: &str, pattern_count: usize) -> Option<Regex> {
+        let path = self.artifact_path(key)?;
         let re = Regex::load_artifact(&path).ok()?;
         self.serves(&re, label, pattern_count).then_some(re)
     }
 
     /// Tier 2: the in-memory encoded-artifact cache.
-    fn try_cache(&self, label: &str, pattern_count: usize) -> Option<Regex> {
-        let re = Regex::from_artifact(self.cache.get(label)?).ok()?;
+    fn try_cache(&self, key: &str, label: &str, pattern_count: usize) -> Option<Regex> {
+        let re = Regex::from_artifact(self.cache.get(key)?).ok()?;
         self.serves(&re, label, pattern_count).then_some(re)
     }
 
     /// Tier 3: fresh compile, then warm the cache and the artifact
     /// directory for the next registration / next cold start.
-    fn compile(&self, label: &str, patterns: &[String]) -> Result<TenantMatcher, String> {
+    fn compile(
+        &self,
+        key: &str,
+        label: &str,
+        patterns: &[String],
+    ) -> Result<TenantMatcher, String> {
         let set = RegexSet::new(patterns.iter().map(|p| p.as_str()), &self.builder())
             .map_err(|e| format!("compile failed: {e}"))?;
         // Only unsharded eager automata serialize; sharded or lazy sets
@@ -175,8 +193,8 @@ impl Tenants {
         if !set.is_sharded() && self.serves(set.regex(), label, patterns.len()) {
             if let Ok(bytes) = set.regex().to_artifact() {
                 let bytes = Arc::new(bytes);
-                self.cache.insert(label.to_string(), Arc::clone(&bytes));
-                if let Some(path) = self.artifact_path(label) {
+                self.cache.insert(key.to_string(), Arc::clone(&bytes));
+                if let Some(path) = self.artifact_path(key) {
                     // Best effort: a read-only artifact dir just means the
                     // next cold start compiles again.
                     let dir =

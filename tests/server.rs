@@ -136,6 +136,35 @@ fn identical_namespaces_share_the_compile_cache() {
     server.shutdown();
 }
 
+/// `["a|b", "c"]` and `["a", "b|c"]` join to one label with one count,
+/// yet are different namespaces: neither may be served the other's
+/// automaton from the compile cache (first life, no artifact directory)
+/// or from an artifact file (second life). Each list compiles fresh
+/// once, is served from its own stored artifact after that, and reports
+/// its own rule for the haystack `b`.
+#[test]
+fn lists_joining_to_one_label_stay_apart() {
+    const LISTS: [(&str, &[&str], u32); 2] =
+        [("left", &["a|b", "c"], 0), ("right", &["a", "b|c"], 1)];
+    let dir = temp_dir("joined");
+    let lives = [(None, RegisterSource::Cache), (Some(dir.clone()), RegisterSource::Artifact)];
+    for (life, (artifact_dir, stored)) in lives.into_iter().enumerate() {
+        let config = ServerConfig { artifact_dir, ..Default::default() };
+        let server = Server::bind_tcp("127.0.0.1:0", config).unwrap();
+        let mut client = Client::connect_tcp(server.local_addr().unwrap()).unwrap();
+        for (round, source) in [RegisterSource::CompiledFresh, stored].into_iter().enumerate() {
+            for (tenant, patterns, rule) in LISTS {
+                let registered = client.register(tenant, patterns).unwrap();
+                assert_eq!(registered, (2, source), "life {life}, round {round}, tenant {tenant}");
+                let got = client.matches_batch_retrying(tenant, &[b"b"], 50).unwrap();
+                assert_eq!(got, vec![vec![rule]], "life {life}, round {round}, tenant {tenant}");
+            }
+        }
+        server.shutdown();
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A pattern list that repeats a pattern compiles to a set over its
 /// distinct rules, and an empty one to the void set: either way the
 /// compiled label and count differ from the request's, so neither the
