@@ -665,7 +665,9 @@ fn multimatch() {
 /// batch on the same jobs, not by a one-lane scan. The shuffle ratios are
 /// skipped when this run did not engage the kernel: a scalar build or CPU
 /// measures scalar-vs-scalar noise around 1.0x, which must not fail the
-/// gate. The lane walk runs in every build, so its ratio is never skipped.
+/// gate. The lane walks run in every build, so their ratios are never
+/// skipped: `lanes_over_scalar` (the eager lanes over one lane) and
+/// `lazy_over_eager_lanes` (the warmed lazy lanes over the eager lanes).
 const THROUGHPUT_GATE: &[Rule] = &[
     Rule::exact("input_bytes"),
     Rule::exact("u8_states"),
@@ -677,6 +679,7 @@ const THROUGHPUT_GATE: &[Rule] = &[
     Rule::at_least("shuffle_over_scalar", 0.4, 1.2).skip_if("shuffle_kernel", "scalar"),
     Rule::at_least("batch_over_scalar_batch", 0.4, 0.95).skip_if("shuffle_kernel", "scalar"),
     Rule::at_least("lanes_over_scalar", 0.4, 1.05),
+    Rule::at_least("lazy_over_eager_lanes", 0.4, 0.7),
 ];
 
 /// Packed state-id throughput: single-thread scan speed of the `u8`- and
@@ -684,9 +687,10 @@ const THROUGHPUT_GATE: &[Rule] = &[
 /// to the `u32` interface width, on the same pinned corpus, plus an
 /// 8-worker parallel scan of the larger automaton, the shuffle kernel
 /// ratios on a ≤16-state rule (`shuffle_over_scalar` for one scan,
-/// `batch_over_scalar_batch` for a batch against the scalar lanes) and
+/// `batch_over_scalar_batch` for a batch against the scalar lanes),
 /// `lanes_over_scalar` for the interleaved lane walk of the 128-state
-/// window automaton.
+/// window automaton and `lazy_over_eager_lanes` for the lazy backend's
+/// lane walk against the eager one on that automaton.
 /// Writes `BENCH_throughput.json` (or `SFA_BENCH_OUT`) and, when
 /// `SFA_BENCH_BASELINE` names a committed baseline, gates against it
 /// under [`THROUGHPUT_GATE`].
@@ -868,6 +872,35 @@ fn throughput() {
         t_one_lane.mb_per_sec(),
     );
 
+    // Lazy lane subject: the same automaton's DFA behind the lazy backend,
+    // its cache warmed by one pass, walking four jobs (the digits cut into
+    // four) in lockstep against the eager scalar lanes on the same jobs.
+    let lazy = sfa_core::LazyDSfa::new(small.dfa().clone());
+    let quarters = sfa_matcher::split_chunks(&small_text, sfa_core::dsfa::INTERLEAVE_LANES);
+    let jobs_from = |id| quarters.iter().map(|&s| (id, s)).collect::<Vec<_>>();
+    let (lazy_jobs, eager_jobs) = (jobs_from(lazy.initial()), jobs_from(win_sfa.initial()));
+    let eager_ends = win_sfa.run_from_many_scalar(&eager_jobs);
+    let lazy_ends = lazy.run_from_many(&lazy_jobs);
+    for (&l, &e) in lazy_ends.iter().zip(&eager_ends) {
+        assert_eq!(lazy.mapping(l), win_sfa.mapping(e), "lazy and eager lanes end alike");
+    }
+    let t_lazy_lanes = measure(small_text.len(), 7, || {
+        assert_eq!(lazy.run_from_many(&lazy_jobs), lazy_ends);
+    });
+    let t_eager_lanes = measure(small_text.len(), 7, || {
+        assert_eq!(win_sfa.run_from_many_scalar(&eager_jobs), eager_ends);
+    });
+    let lazy_over_eager_lanes = t_lazy_lanes.mb_per_sec() / t_eager_lanes.mb_per_sec();
+    println!(
+        "lazy lanes x{} ({} of {} states materialized): {:.0} MB/s vs. {:.0} MB/s eager lanes  \
+         ({lazy_over_eager_lanes:.2}x)",
+        lazy_jobs.len(),
+        lazy.num_states_constructed(),
+        win_sfa.num_states(),
+        t_lazy_lanes.mb_per_sec(),
+        t_eager_lanes.mb_per_sec(),
+    );
+
     // batch_10k_256b, printed only: 10 000 request lines of 256 bytes, one
     // in 100 holding the needle, through one `is_match_batch` call vs. one
     // `is_match` call each, on an 8-worker pool.
@@ -913,6 +946,7 @@ fn throughput() {
         .float("shuffle_over_scalar", shuffle_over_scalar, 3)
         .float("batch_over_scalar_batch", batch_over_scalar_batch, 3)
         .float("lanes_over_scalar", lanes_over_scalar, 3)
+        .float("lazy_over_eager_lanes", lazy_over_eager_lanes, 3)
         .int("cores", num_cpus())
         .int("scale", scale())
         .publish("BENCH_throughput.json", THROUGHPUT_GATE);
@@ -1429,13 +1463,19 @@ mod tests {
             ["REGRESSION: batch_over_scalar_batch = 0.9, needs ≥ 0.95 \
                  (baseline 1.614, BENCH_throughput.json)"]
         );
-        // The lane walk runs in every build, so a scalar kernel skips
-        // nothing of it.
+        // The lane walks run in every build, so a scalar kernel skips
+        // nothing of them.
         let lanes = ("\"lanes_over_scalar\":3.678", "\"lanes_over_scalar\":1.0");
         assert_eq!(
             gate("throughput", &[lanes, scalar], false),
             ["REGRESSION: lanes_over_scalar = 1.0, needs ≥ 1.47 \
                  (baseline 3.678, BENCH_throughput.json)"]
+        );
+        let lazy = ("\"lazy_over_eager_lanes\":1.003", "\"lazy_over_eager_lanes\":0.5");
+        assert_eq!(
+            gate("throughput", &[lazy, scalar], false),
+            ["REGRESSION: lazy_over_eager_lanes = 0.5, needs ≥ 0.70 \
+                 (baseline 1.003, BENCH_throughput.json)"]
         );
     }
 }

@@ -324,7 +324,9 @@ impl SfaBackend {
     }
 
     /// True when the eager backend built its premultiplied byte table
-    /// (see [`crate::SfaConfig::premultiply`]); always false for lazy.
+    /// (see [`crate::SfaConfig::premultiply`]); always false for lazy,
+    /// whose class rows hold premultiplied row offsets but which builds no
+    /// 256-column byte table.
     pub fn premultiplied(&self) -> bool {
         match self {
             SfaBackend::Eager(sfa) => sfa.premultiplied(),

@@ -43,22 +43,45 @@
 //! never materialize would defeat the point. See the [`crate`] docs for
 //! the knob/backend matrix.
 //!
-//! ## Why the lazy table stays `u32`
+//! ## Table layout: premultiplied, tagged `u32` entries
 //!
-//! The eager [`DSfa`](crate::DSfa) packs its table entries down to
-//! `u8`/`u16` when `|S_d|` fits ([`StateIdRepr`](crate::StateIdRepr));
-//! the lazy cache deliberately does **not**. Its state count is unknown
-//! up front and grows concurrently while pool workers hold ids, so a
-//! narrow width would have to be *re*-packed the moment the cache
-//! crossed 256 (then 65 536) entries — invalidating nothing (ids are
-//! stable) but requiring every reader to drain and the whole table to be
-//! rewritten under the write lock, serializing exactly the workers the
-//! batched read-lock design exists to keep concurrent. The cache also
-//! reserves `SfaStateId::MAX` as its not-yet-computed sentinel, which a
-//! packed row could not represent alongside 256 real states. Since lazy
-//! table memory is bounded by visited traffic rather than `|S_d|`, the
-//! 4× width costs little in practice; [`SfaConfig::repr`](crate::SfaConfig)
-//! is therefore ignored here.
+//! The cache holds one row of [`num_classes`](LazyDSfa::num_classes)
+//! entries per materialized state, like the eager class rows, but an
+//! entry holds its target's *row offset* (`id × stride`) rather than its
+//! id. One step of a walk is then one add and one load,
+//! `table[offset + class]`, with no multiply on the dependent chain. This
+//! is the layout of regex-automata's lazy DFA. Two high bits tag the
+//! entries that a walk must not simply follow:
+//!
+//! * the *unknown* tag marks a transition that is not computed yet. The
+//!   walk drops to the write lock and fills it;
+//! * the *sink* tag marks a transition into a [sink](LazyDSfa::is_sink).
+//!   A sink maps every class back to itself, so its own row is known when
+//!   it is interned and is filled then: every entry points back at the
+//!   sink, tagged.
+//!
+//! [`run_from`](LazyDSfa::run_from) therefore pays one compare per byte
+//! for both of its exits: an entry above the largest plain offset is
+//! either a miss or the sink it stops on. The lockstep walk of
+//! [`run_from_many`](LazyDSfa::run_from_many) tests the unknown tag of
+//! its four entries with one branch per step and leaves the lockstep only
+//! on a miss. A lane that enters a sink strips the tag and keeps walking
+//! the sink's self-loops, which interns nothing.
+//!
+//! The public API keeps plain [`SfaStateId`]s: a call converts its states
+//! to row offsets once on entry and back once on return. Row offsets must
+//! stay below the tag bits, under 2^30, so a cache holds at most
+//! `2^30 / stride` states. Interning one more panics with "lazy D-SFA
+//! cache exceeds its u32 id space" instead of wrapping onto a live row.
+//!
+//! Entries stay `u32` even where the eager D-SFA packs its ids down to
+//! `u8`/`u16` ([`StateIdRepr`](crate::StateIdRepr)). The lazy state count
+//! is unknown up front and grows while pool workers hold ids, so a narrow
+//! width would have to be repacked under the write lock the moment the
+//! cache outgrew it, serializing the workers the read-lock design keeps
+//! concurrent. Since the table is bounded by visited traffic rather than
+//! `|S_d|`, the width costs little; [`SfaConfig::repr`](crate::SfaConfig)
+//! is ignored here.
 
 use crate::dsfa::{RowIndex, SfaStateId, INTERLEAVE_LANES};
 use crate::mapping::Transformation;
@@ -85,9 +108,11 @@ struct Inner {
     /// as in the eager construction.
     maps: Vec<StateId>,
     index: RowIndex,
-    /// Row-major table like the eager D-SFA, but entries may be `NONE`
-    /// (not yet computed).
-    table: Vec<SfaStateId>,
+    /// Row-major like the eager class rows: the entry of state `s` on
+    /// class `c` sits at `s × stride + c` and holds the target's row
+    /// offset, tagged [`SINK`] when the target is a sink, or [`UNKNOWN`]
+    /// while not yet computed (see the [module docs](self)).
+    table: Vec<u32>,
     accepting: Vec<bool>,
     sink: Vec<bool>,
 }
@@ -104,8 +129,29 @@ impl Inner {
     }
 }
 
-const NONE: SfaStateId = SfaStateId::MAX;
+/// Tag of a table entry whose target is not computed yet.
+const UNKNOWN: u32 = 1 << 31;
+/// Tag of a table entry whose target is a sink.
+const SINK: u32 = 1 << 30;
+/// The largest row offset an entry can hold: every bit below the tags.
+const MAX_OFFSET: u32 = SINK - 1;
 const POISONED: &str = "lazy D-SFA lock poisoned";
+
+/// The row offset of state `id` in a table of `stride`-entry rows.
+///
+/// # Panics
+///
+/// With "lazy D-SFA cache exceeds its u32 id space" when the offset does
+/// not fit below the tag bits.
+fn row_offset(id: usize, stride: usize) -> u32 {
+    match id.checked_mul(stride) {
+        Some(offset) if offset <= MAX_OFFSET as usize => offset as u32,
+        _ => panic!(
+            "lazy D-SFA cache exceeds its u32 id space: state {id} of {stride} classes would \
+             start past row offset {MAX_OFFSET}"
+        ),
+    }
+}
 
 impl Clone for LazyDSfa {
     fn clone(&self) -> LazyDSfa {
@@ -244,19 +290,49 @@ impl LazyDSfa {
     }
 
     /// Interns a mapping row, materializing a new state if the cache has
-    /// not seen it yet. Must be called with the write lock held.
+    /// not seen it yet. Must be called with the write lock held. A new
+    /// sink gets its row filled at once; every other new row starts
+    /// unknown.
     fn intern_locked(&self, inner: &mut Inner, row: &[StateId]) -> SfaStateId {
         let hash = inner.index.hash(row);
         if let Some(id) = inner.index.find(hash, |s| inner.row(s, row.len()) == row) {
             return id;
         }
-        let id = inner.accepting.len() as SfaStateId;
-        inner.index.insert(hash, id);
+        let stride = self.dfa.num_classes();
+        let id = inner.accepting.len();
+        let offset = row_offset(id, stride);
+        let sink = row.iter().all(|&q| self.loop_states[q as usize]);
+        inner.index.insert(hash, id as SfaStateId);
         inner.maps.extend_from_slice(row);
         inner.accepting.push(self.dfa.is_accepting(row[self.dfa.start() as usize]));
-        inner.sink.push(row.iter().all(|&q| self.loop_states[q as usize]));
-        inner.table.extend(std::iter::repeat_n(NONE, self.dfa.num_classes()));
-        id
+        inner.sink.push(sink);
+        let entry = if sink { offset | SINK } else { UNKNOWN };
+        inner.table.extend(std::iter::repeat_n(entry, stride));
+        id as SfaStateId
+    }
+
+    /// Computes the transition at table index `idx` (a row offset plus a
+    /// class) under the write lock and returns its tagged entry. The slot
+    /// is re-checked first: another thread may have filled it while this
+    /// one waited for the lock.
+    fn fill(&self, idx: usize) -> u32 {
+        let stride = self.dfa.num_classes();
+        let mut inner = self.inner.write().expect(POISONED);
+        let cached = inner.table[idx];
+        if cached & UNKNOWN == 0 {
+            return cached;
+        }
+        let (state, class) = ((idx / stride) as SfaStateId, (idx % stride) as u16);
+        let next: Vec<StateId> = inner
+            .row(state, self.num_dfa_states())
+            .iter()
+            .map(|&q| self.dfa.next_by_class(q, class))
+            .collect();
+        let next_id = self.intern_locked(&mut inner, &next);
+        let tag = if inner.sink[next_id as usize] { SINK } else { 0 };
+        let entry = row_offset(next_id as usize, stride) | tag;
+        inner.table[idx] = entry;
+        entry
     }
 
     /// Transition on a byte, constructing the target state on demand.
@@ -271,26 +347,9 @@ impl LazyDSfa {
     pub fn next_by_class(&self, state: SfaStateId, class: u16) -> SfaStateId {
         let stride = self.dfa.num_classes();
         let idx = state as usize * stride + class as usize;
-        {
-            let inner = self.inner.read().expect(POISONED);
-            let cached = inner.table[idx];
-            if cached != NONE {
-                return cached;
-            }
-        }
-        let mut inner = self.inner.write().expect(POISONED);
-        let cached = inner.table[idx];
-        if cached != NONE {
-            return cached;
-        }
-        let next: Vec<StateId> = inner
-            .row(state, self.num_dfa_states())
-            .iter()
-            .map(|&q| self.dfa.next_by_class(q, class))
-            .collect();
-        let next_id = self.intern_locked(&mut inner, &next);
-        inner.table[idx] = next_id;
-        next_id
+        let cached = self.inner.read().expect(POISONED).table[idx];
+        let entry = if cached & UNKNOWN == 0 { cached } else { self.fill(idx) };
+        ((entry & MAX_OFFSET) as usize / stride) as SfaStateId
     }
 
     /// Runs the lazy SFA over an input from the identity state.
@@ -303,41 +362,45 @@ impl LazyDSfa {
     ///
     /// The hot loop walks every already-cached transition under a single
     /// read lock — concurrent workers share the cache without excluding
-    /// each other — and exits early on a [sink](LazyDSfa::is_sink). Only
-    /// a cache miss releases the read lock and constructs the missing
-    /// state under the write lock before resuming the batched walk.
+    /// each other — and exits early on a [sink](LazyDSfa::is_sink). Both
+    /// exits cost one compare per byte, on the entry's tag bits. Only a
+    /// cache miss releases the read lock and constructs the missing state
+    /// under the write lock before resuming the walk.
     pub fn run_from(&self, state: SfaStateId, input: &[u8]) -> SfaStateId {
         let stride = self.dfa.num_classes();
+        (self.walk(state as usize * stride, input) / stride) as SfaStateId
+    }
+
+    /// The walk behind [`run_from`](LazyDSfa::run_from), over row offsets:
+    /// returns the row offset `input` ends on from row offset `f`, or the
+    /// sink it reaches first.
+    fn walk(&self, mut f: usize, input: &[u8]) -> usize {
         let classes = self.dfa.classes();
-        let mut f = state;
         let mut i = 0;
-        while i < input.len() {
-            {
+        loop {
+            let tagged = {
                 let inner = self.inner.read().expect(POISONED);
-                if inner.sink[f as usize] {
-                    return f;
-                }
-                while i < input.len() {
-                    let class = classes.class_of(input[i]) as usize;
-                    let next = inner.table[f as usize * stride + class];
-                    if next == NONE {
-                        break;
+                loop {
+                    let Some(&byte) = input.get(i) else { return f };
+                    let entry = inner.table[f + classes.class_of(byte) as usize];
+                    if entry > MAX_OFFSET {
+                        break entry;
                     }
+                    f = entry as usize;
                     i += 1;
-                    if next != f {
-                        f = next;
-                        if inner.sink[f as usize] {
-                            return f;
-                        }
-                    }
                 }
+            };
+            let entry = if tagged & UNKNOWN == 0 {
+                tagged
+            } else {
+                self.fill(f + classes.class_of(input[i]) as usize)
+            };
+            if entry & SINK != 0 {
+                return (entry & MAX_OFFSET) as usize;
             }
-            if i < input.len() {
-                f = self.next_state(f, input[i]);
-                i += 1;
-            }
+            f = entry as usize;
+            i += 1;
         }
-        f
     }
 
     /// Runs several independent `(state, input)` jobs, walking
@@ -350,28 +413,32 @@ impl LazyDSfa {
     /// eager [`DSfa::run_from_many`](crate::DSfa::run_from_many) does. At
     /// the first position where some lane's transition is not cached yet,
     /// the walk drops the read lock, fills that one transition under the
-    /// write lock ([`next_state`](LazyDSfa::next_state)) and resumes at the
-    /// same position. There is no per-byte sink branch: a sink's mapping
-    /// maps every byte back to itself, so walking it interns no new state.
-    /// Each tail then finishes through [`run_from`](LazyDSfa::run_from),
-    /// which keeps the sink exit. A lane therefore materializes exactly
-    /// the states its own `run_from` would: the lockstep changes the order
-    /// states are interned in (and so their ids), never which ones.
+    /// write lock and resumes at the same position. There is no per-byte
+    /// sink exit: a sink's row maps every class back to itself, so a lane
+    /// on a sink keeps walking in place and interns nothing. Each tail
+    /// then finishes through the walk behind
+    /// [`run_from`](LazyDSfa::run_from), which keeps the sink exit. A lane
+    /// therefore materializes exactly the states its own `run_from` would:
+    /// the lockstep changes the order states are interned in (and so their
+    /// ids), never which ones.
     pub fn run_from_many(&self, jobs: &[(SfaStateId, &[u8])]) -> Vec<SfaStateId> {
+        let stride = self.dfa.num_classes();
+        let classes = self.dfa.classes();
         let mut out = Vec::with_capacity(jobs.len());
         let mut groups = jobs.chunks_exact(INTERLEAVE_LANES);
         for group in groups.by_ref() {
-            let mut f = [group[0].0, group[1].0, group[2].0, group[3].0];
+            let mut f: [usize; INTERLEAVE_LANES] =
+                std::array::from_fn(|lane| group[lane].0 as usize * stride);
             let inputs = [group[0].1, group[1].1, group[2].1, group[3].1];
             let common = inputs.iter().map(|s| s.len()).min().unwrap_or(0);
             let mut at = 0;
             while at < common {
                 if let Some(lane) = self.walk_lanes(&mut f, &inputs, &mut at, common) {
-                    self.next_state(f[lane], inputs[lane][at]);
+                    self.fill(f[lane] + classes.class_of(inputs[lane][at]) as usize);
                 }
             }
             for (lane, input) in inputs.iter().enumerate() {
-                out.push(self.run_from(f[lane], &input[at..]));
+                out.push((self.walk(f[lane], &input[at..]) / stride) as SfaStateId);
             }
         }
         out.extend(groups.remainder().iter().map(|&(s, input)| self.run_from(s, input)));
@@ -379,32 +446,31 @@ impl LazyDSfa {
     }
 
     /// The lockstep hot loop of [`run_from_many`](LazyDSfa::run_from_many):
-    /// advances all four lanes from position `*at` towards `common` under
-    /// one read lock. Returns the first lane whose next transition is not
-    /// cached, with `*at` left on the byte it misses (no lane has taken
-    /// it), or `None` once every lane has walked to `common`.
+    /// advances all four lanes (row offsets) from position `*at` towards
+    /// `common` under one read lock. Returns the first lane whose next
+    /// transition is not cached, with `*at` left on the byte it misses (no
+    /// lane has taken it), or `None` once every lane has walked to
+    /// `common`.
     fn walk_lanes(
         &self,
-        f: &mut [SfaStateId; INTERLEAVE_LANES],
+        f: &mut [usize; INTERLEAVE_LANES],
         inputs: &[&[u8]; INTERLEAVE_LANES],
         at: &mut usize,
         common: usize,
     ) -> Option<usize> {
-        let stride = self.dfa.num_classes();
         let classes = self.dfa.classes();
         let inner = self.inner.read().expect(POISONED);
-        let table = &inner.table;
+        let table = &inner.table[..];
         let (a, b) = (&inputs[0][..common], &inputs[1][..common]);
         let (c, d) = (&inputs[2][..common], &inputs[3][..common]);
-        let step =
-            |f: SfaStateId, byte: u8| table[f as usize * stride + classes.class_of(byte) as usize];
+        let step = |f: usize, byte: u8| table[f + classes.class_of(byte) as usize];
         for i in *at..common {
             let next = [step(f[0], a[i]), step(f[1], b[i]), step(f[2], c[i]), step(f[3], d[i])];
-            if let Some(lane) = next.iter().position(|&n| n == NONE) {
+            if (next[0] | next[1] | next[2] | next[3]) & UNKNOWN != 0 {
                 *at = i;
-                return Some(lane);
+                return next.iter().position(|&n| n & UNKNOWN != 0);
             }
-            *f = next;
+            *f = next.map(|n| (n & MAX_OFFSET) as usize);
         }
         *at = common;
         None
@@ -454,7 +520,7 @@ impl LazyDSfa {
     /// Bytes occupied by the materialized (class-compressed) transition
     /// table rows.
     pub fn table_bytes(&self) -> usize {
-        self.inner.read().expect(POISONED).table.len() * std::mem::size_of::<SfaStateId>()
+        self.inner.read().expect(POISONED).table.len() * std::mem::size_of::<u32>()
     }
 
     /// Bytes occupied by the materialized state mappings (each held
@@ -666,6 +732,31 @@ mod tests {
         assert!(lazy.num_states_constructed() <= eager.num_states());
     }
 
+    #[test]
+    #[should_panic(expected = "lazy D-SFA cache exceeds its u32 id space")]
+    fn row_offsets_stop_at_the_tag_bits() {
+        // The last state whose row starts at or below the tag bits fits;
+        // the next one stops with the documented message.
+        let stride = 73;
+        let last = MAX_OFFSET as usize / stride;
+        assert_eq!(row_offset(last, stride) as usize, last * stride);
+        assert!(row_offset(last, stride) + stride as u32 > MAX_OFFSET);
+        row_offset(last + 1, stride);
+    }
+
+    #[test]
+    fn sink_rows_are_filled_when_interned() {
+        // A sink maps every class to itself, so its row never misses and
+        // every entry carries the sink tag.
+        let lazy = LazyDSfa::from_pattern("(ab)*").unwrap();
+        let dead = lazy.run(b"aa");
+        assert!(lazy.is_sink(dead));
+        let stride = lazy.num_classes();
+        let inner = lazy.inner.read().unwrap();
+        let row = &inner.table[dead as usize * stride..][..stride];
+        assert!(row.iter().all(|&e| e == row_offset(dead as usize, stride) | SINK));
+    }
+
     /// The minimal DFA of a generated pattern over `a`–`d`, or `None`
     /// when it busts a small state budget.
     fn generated_dfa(seed: u64) -> Option<Dfa> {
@@ -690,17 +781,25 @@ mod tests {
         /// `run_from_many` on a cold cache ends every job where a one-lane
         /// `run_from` on a second cold cache ends it, and both caches end
         /// with the same number of states: the lockstep walk materializes
-        /// nothing the one-lane walks would not. The jobs are ragged and
-        /// start from arbitrary materialized states; the first is empty
-        /// and the second steps out of the pattern's alphabet (`z`), which
-        /// sends its lane into the all-dead sink.
+        /// nothing the one-lane walks would not. Where the eager D-SFA of
+        /// the same DFA fits a small cap, every end state also carries the
+        /// eager end state's mapping, sink flag and verdict. The jobs are
+        /// ragged and start from arbitrary materialized states. Job 4 is
+        /// empty, in the second group or the remainder. Job 1 steps out of
+        /// the pattern's alphabet (`z`) at `sink_at`, inside the first
+        /// group's common prefix, so its lane enters the all-dead sink and
+        /// keeps walking in lockstep.
         #[test]
         fn lockstep_on_a_cold_cache_matches_one_lane_runs(
             seed in any::<u64>(),
             warm in prop::collection::vec("[a-d]{0,8}", 0..4),
-            jobs in prop::collection::vec((any::<prop::sample::Index>(), "[a-dz]{0,40}"), 5..14),
+            jobs in prop::collection::vec((any::<prop::sample::Index>(), "[a-dz]{1,40}"), 5..14),
+            sink_at in any::<prop::sample::Index>(),
         ) {
             let Some(dfa) = generated_dfa(seed) else { return Ok(()) };
+            let eager =
+                DSfa::from_dfa(&dfa, &crate::SfaConfig { max_states: 4_096, ..Default::default() })
+                    .ok();
             let (many, one) = (LazyDSfa::new(dfa.clone()), LazyDSfa::new(dfa));
             // Identical warm-ups give both caches the same states and ids.
             for word in &warm {
@@ -710,9 +809,9 @@ mod tests {
             let warmed = many.num_states_constructed();
             prop_assert_eq!(one.num_states_constructed(), warmed);
             let mut inputs: Vec<Vec<u8>> = jobs.iter().map(|(_, s)| s.clone().into_bytes()).collect();
-            inputs[0].clear();
-            let middle = inputs[1].len() / 2;
-            inputs[1].insert(middle, b'z');
+            inputs[4].clear();
+            let common = inputs[..INTERLEAVE_LANES].iter().map(Vec::len).min().unwrap();
+            inputs[1].insert(sink_at.index(common), b'z');
             let batch: Vec<(SfaStateId, &[u8])> = jobs
                 .iter()
                 .zip(&inputs)
@@ -722,6 +821,13 @@ mod tests {
             prop_assert!(many.is_sink(ends[1]));
             for (&(start, input), &end) in batch.iter().zip(&ends) {
                 prop_assert_eq!(many.mapping(end), one.mapping(one.run_from(start, input)));
+                if let Some(eager) = &eager {
+                    let from = eager.state_of(&many.mapping(start)).expect("lazy states are reachable");
+                    let to = eager.run_from(from, input);
+                    prop_assert_eq!(many.mapping(end), eager.mapping(to));
+                    prop_assert_eq!(many.is_sink(end), eager.is_sink(to));
+                    prop_assert_eq!(many.is_accepting(end), eager.is_accepting(to));
+                }
             }
             prop_assert_eq!(many.num_states_constructed(), one.num_states_constructed());
         }

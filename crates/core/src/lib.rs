@@ -30,7 +30,7 @@
 //! | [`SfaConfig`] knob | [`DSfa`] (eager) | [`LazyDSfa`] | [`NSfa`] |
 //! |---|---|---|---|
 //! | `max_states` | enforced: construction fails with `TooManyStates` | **ignored** — the cache is bounded by the states actually visited (≤ one per input byte) | enforced |
-//! | `premultiply` | builds the dense 256-column byte table (≤ 64 MiB packed) | **ignored** — states may never materialize, so no dense table | ignored (states are correspondences, not table rows) |
+//! | `premultiply` | builds the dense 256-column byte table (≤ 64 MiB packed) | **ignored** — states may never materialize, so no dense table (the class rows hold premultiplied row offsets regardless) | ignored (states are correspondences, not table rows) |
 //! | `repr` | overrides the packed state-id width (never narrower than `\|S_d\|` requires) | **ignored** — the cache grows while matchers hold ids, so it stays `u32` (see [`LazyDSfa`]) | ignored (states are correspondences, not table rows) |
 //!
 //! ## Example

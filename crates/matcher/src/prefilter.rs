@@ -14,8 +14,16 @@
 //! links, outputs merged along suffix links) DFA-ified into a dense
 //! next-state table — but over *compressed byte classes*: each distinct
 //! byte occurring in some literal gets its own class and every other
-//! byte shares class 0, so the table is `nodes × (distinct bytes + 1)`
-//! instead of `nodes × 256`.
+//! byte shares one catch-all class, so the table is
+//! `nodes × (distinct bytes + 1)` instead of `nodes × 256`. When the
+//! literals use all 256 byte values there is no catch-all class.
+//!
+//! The table is *premultiplied*: an entry holds its target node's row
+//! offset (`node × classes`), so one step is one add and one load. The
+//! nodes are renumbered after the BFS so that every node with outputs
+//! comes after every node without. The scan then spots an output with
+//! one compare of the offset against the first output row, and touches
+//! the output lists only on a hit.
 
 /// The missing-child sentinel in the goto trie during construction.
 const NONE: u32 = u32::MAX;
@@ -27,17 +35,23 @@ const NONE: u32 = u32::MAX;
 /// set of tags with at least one occurring literal.
 #[derive(Clone, Debug)]
 pub struct Prefilter {
-    /// Byte → class; class 0 is the shared "occurs in no literal" class.
+    /// Byte → class; bytes in no literal share class 0, unless every
+    /// byte value occurs in some literal and each has a class of its own.
     classes: [u8; 256],
     /// Byte → "the root loops on it": no literal *starts* with this byte,
     /// so at the root it can be skipped without a table lookup — a
-    /// strictly larger set than class 0 (bytes occurring only in literal
-    /// middles/ends also loop on the root).
+    /// strictly larger set than the catch-all class (bytes occurring only
+    /// in literal middles/ends also loop on the root).
     root_skip: [bool; 256],
     num_classes: usize,
-    /// Dense DFA table, `node * num_classes + class` → node.
+    /// Dense DFA table, `offset + class` → the target's row offset, where
+    /// a node's offset is `node * num_classes`. The root is node 0.
     next: Vec<u32>,
-    /// Tags completed at each node (own + along failure links), deduped.
+    /// The row offset of the first node with outputs: every node at or
+    /// past it has some.
+    first_output: usize,
+    /// Tags completed at each node from `first_output` on (own + along
+    /// failure links), deduped.
     outputs: Vec<Vec<u32>>,
     /// Tags of empty literals: they occur in every haystack.
     always: Vec<u32>,
@@ -70,17 +84,21 @@ impl Prefilter {
         always.sort_unstable();
         always.dedup();
 
-        let mut classes = [0u8; 256];
-        let mut num_classes = 1usize;
-        for (lit, _) in &needles {
-            for &b in lit {
-                if classes[b as usize] == 0 {
-                    classes[b as usize] = num_classes as u8;
-                    num_classes += 1;
-                }
+        // Classes in order of first occurrence, after the catch-all class
+        // 0 when some byte value occurs in no literal.
+        let mut seen = [false; 256];
+        let mut distinct = Vec::new();
+        for &b in needles.iter().flat_map(|(lit, _)| lit) {
+            if !std::mem::replace(&mut seen[b as usize], true) {
+                distinct.push(b);
             }
         }
-        debug_assert!(num_classes <= 256);
+        let catch_all = usize::from(distinct.len() < 256);
+        let mut classes = [0u8; 256];
+        for (class, &b) in distinct.iter().enumerate() {
+            classes[b as usize] = (class + catch_all) as u8;
+        }
+        let num_classes = distinct.len() + catch_all;
 
         // Goto trie over classes. Node 0 is the root.
         let mut goto: Vec<Vec<u32>> = vec![vec![NONE; num_classes]];
@@ -131,6 +149,36 @@ impl Prefilter {
                 }
             }
         }
+        drop(goto);
+
+        // Renumber in place, so no second table is allocated: swap nodes
+        // with outputs from the front with nodes without from the back
+        // until every node with outputs comes last. The root stays node 0,
+        // as it has no outputs (empty needles were taken out). Then
+        // premultiply every entry.
+        assert!(next.len() <= u32::MAX as usize, "prefilter table exceeds u32 offsets");
+        let mut renumbered: Vec<u32> = (0..nodes as u32).collect();
+        let (mut plain, mut end) = (0, nodes);
+        loop {
+            while plain < end && outputs[plain].is_empty() {
+                plain += 1;
+            }
+            while plain < end && !outputs[end - 1].is_empty() {
+                end -= 1;
+            }
+            if plain == end {
+                break;
+            }
+            end -= 1;
+            let (front, back) = next.split_at_mut(end * num_classes);
+            front[plain * num_classes..][..num_classes].swap_with_slice(&mut back[..num_classes]);
+            outputs.swap(plain, end);
+            renumbered.swap(plain, end);
+        }
+        for entry in &mut next {
+            *entry = renumbered[*entry as usize] * num_classes as u32;
+        }
+        let outputs = outputs.split_off(plain);
 
         let tags = needles
             .iter()
@@ -144,7 +192,17 @@ impl Prefilter {
         for (b, skip) in root_skip.iter_mut().enumerate() {
             *skip = next[classes[b] as usize] == 0;
         }
-        Prefilter { classes, root_skip, num_classes, next, outputs, always, literals, tags }
+        Prefilter {
+            classes,
+            root_skip,
+            num_classes,
+            next,
+            first_output: plain * num_classes,
+            outputs,
+            always,
+            literals,
+            tags,
+        }
     }
 
     /// The number of literals compiled in (empty ones included).
@@ -159,7 +217,7 @@ impl Prefilter {
 
     /// The number of DFA nodes (the trie plus the root).
     pub fn node_count(&self) -> usize {
-        self.outputs.len()
+        self.next.len() / self.num_classes
     }
 
     /// Heap footprint of the transition table, in bytes.
@@ -188,10 +246,10 @@ impl Prefilter {
             }
         }
         let mut remaining = active.iter().filter(|&&a| !a).count();
-        if remaining == 0 || self.outputs.len() <= 1 {
+        if remaining == 0 || self.outputs.is_empty() {
             return marked;
         }
-        let nc = self.num_classes;
+        let first_output = self.first_output;
         let mut state = 0usize;
         let mut i = 0;
         while i < haystack.len() {
@@ -222,11 +280,9 @@ impl Prefilter {
                     return marked;
                 }
             }
-            let c = self.classes[haystack[i] as usize] as usize;
-            state = self.next[state * nc + c] as usize;
-            let out = &self.outputs[state];
-            if !out.is_empty() {
-                for &tag in out {
+            state = self.next[state + self.classes[haystack[i] as usize] as usize] as usize;
+            if state >= first_output {
+                for &tag in &self.outputs[(state - first_output) / self.num_classes] {
                     if !active[tag as usize] {
                         active[tag as usize] = true;
                         marked += 1;
@@ -246,6 +302,7 @@ impl Prefilter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn filter(lits: &[(&str, u32)]) -> Prefilter {
         Prefilter::new(lits.iter().map(|&(l, t)| (l.as_bytes().to_vec(), t)))
@@ -317,11 +374,72 @@ mod tests {
     }
 
     #[test]
+    fn every_byte_value_gets_its_own_class() {
+        // 255 literals `b b` (0x00–0xFE) and two led by 0xFF use all 256
+        // byte values, so no byte is left for a catch-all class.
+        let mut lits: Vec<(Vec<u8>, u32)> = (0..=0xFE).map(|b| (vec![b, b], b as u32)).collect();
+        lits.push((vec![0xFF, 0x41], 255));
+        lits.push((vec![0xFF, 0xFF, 0x7A], 256));
+        let p = Prefilter::new(lits);
+        assert_eq!(p.table_bytes(), p.node_count() * 256 * 4);
+        assert_eq!(p.find(&[0x00, 0x41]), Vec::<u32>::new());
+        assert_eq!(p.find(&[0xFF, 0xFF, 0x7A]), vec![256]);
+        assert_eq!(p.find(&[0x00, 0x00, 0xFF, 0x41]), vec![0, 255]);
+        assert_eq!(p.find(&[0x7A, 0x41, 0xFE]), Vec::<u32>::new());
+    }
+
+    #[test]
     fn long_benign_stretch_exercises_the_root_skip() {
         let mut hay = vec![b'.'; 1 << 16];
         hay.extend_from_slice(b"needle");
         hay.extend(vec![b'.'; 1 << 16]);
         let p = filter(&[("needle", 0)]);
         assert_eq!(p.find(&hay), vec![0]);
+    }
+
+    /// A drawn string as bytes: `a`–`d` stand for themselves, `x`, `y`
+    /// and `z` for the high bytes 0x80, 0xFE and 0xFF.
+    fn bytes(s: &str) -> Vec<u8> {
+        s.bytes()
+            .map(|b| match b {
+                b'x' => 0x80,
+                b'y' => 0xFE,
+                b'z' => 0xFF,
+                b => b,
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// `find` reports exactly the tags of the literals a naive search
+        /// finds, and `scan_into` over marks already set returns the number
+        /// of tags it newly marked. Literals share tags, may be empty, and
+        /// end on renumbered output nodes; haystacks also hold `d`, which
+        /// no literal uses.
+        #[test]
+        fn find_agrees_with_a_naive_search(
+            drawn in prop::collection::vec(("[abcxyz]{0,6}", 0..8u32), 0..41),
+            haystacks in prop::collection::vec("[abcdxyz]{0,64}", 1..6),
+            marks in any::<u8>(),
+        ) {
+            let lits: Vec<(Vec<u8>, u32)> = drawn.iter().map(|(s, t)| (bytes(s), *t)).collect();
+            let p = Prefilter::new(lits.clone());
+            for hay in haystacks.iter().map(|s| bytes(s)) {
+                let occurs = |lit: &[u8]| lit.is_empty() || hay.windows(lit.len()).any(|w| w == lit);
+                let naive: Vec<u32> = (0..p.tag_count() as u32)
+                    .filter(|&t| lits.iter().any(|(lit, tag)| *tag == t && occurs(lit)))
+                    .collect();
+                prop_assert_eq!(p.find(&hay), naive.clone());
+                let before: Vec<bool> = (0..p.tag_count()).map(|t| marks >> (t % 8) & 1 == 1).collect();
+                let mut active = before.clone();
+                let newly = naive.iter().filter(|&&t| !before[t as usize]).count();
+                prop_assert_eq!(p.scan_into(&hay, &mut active), newly);
+                for (t, &now) in active.iter().enumerate() {
+                    prop_assert_eq!(now, before[t] || naive.contains(&(t as u32)));
+                }
+            }
+        }
     }
 }
