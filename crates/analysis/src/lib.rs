@@ -5,64 +5,50 @@
 //! The paper's speculative baseline (Algorithm 3) simulates every chunk
 //! from **all** `|Q|` states, which is where its `O(|Q| · n / p)` cost
 //! comes from. Real scanning automata are usually far better behaved:
-//! after a short window of arbitrary input most start states have either
-//! died or collapsed together (they are *synchronizing* in the sense of
-//! Gusev, Maslennikova & Pribavkina, "Principal ideal languages and
-//! synchronizing automata"). This crate computes that structure **once,
-//! offline**, so the matcher can exploit it on every match:
+//! after a short window of input most start states have collapsed
+//! together (they are *synchronizing* in the sense of Gusev, Maslennikova
+//! & Pribavkina, "Principal ideal languages and synchronizing automata").
+//! This crate measures that structure **once, offline**:
 //!
-//! * **k-step reach sets** `R_k ⊆ Q` — the states reachable after `k`
-//!   bytes of *arbitrary* input, computed as a shrinking fixpoint over
-//!   byte classes (`R_0 = Q`, `R_{k+1} = δ(R_k, Σ)`). Any chunk that
-//!   starts at offset `≥ k` can only be entered in a state from `R_k`,
-//!   so a speculative worker never needs to simulate the rest.
-//! * **Merging/reset words** — a short word sending *every* state to one
+//! * **The reach fixpoint** — `R_0 = Q`, `R_{k+1} = δ(R_k, Σ)`, iterated
+//!   until it stops shrinking (or for at most 64 levels). Its size is the
+//!   survivor count: how many states can still be occupied after long
+//!   arbitrary input.
+//! * **A merging/reset word** — a short word sending *every* state to one
 //!   state, found by greedy Eppstein-style pair-merging over the pair
 //!   automaton (backward BFS from the merged diagonal, then greedily
-//!   merging the current set pair by pair).
-//! * **Dead/unreachable-state and sink-distance maps** — which states
-//!   cannot reach an accepting state, which are unreachable from the
-//!   start, and how many bytes each state needs to fall into an
-//!   absorbing sink.
+//!   merging the current set pair by pair). Skipped past 256 states.
 //! * A [`ConvergenceClass`] verdict per automaton, reported to callers
-//!   and in size reports. It does not choose a strategy: the matcher's
-//!   `Strategy::Auto` runs SFA composition (the paper's Algorithm 5)
-//!   whatever the class, and the guided speculative matcher is the
-//!   explicit `Strategy::Speculative`.
+//!   and in size reports, and the
+//!   [`compaction_horizon`](ConvergenceReport::compaction_horizon) derived
+//!   from it.
 //!
-//! The analysis is advisory for performance but **sound for entry sets**:
-//! `R_k` over-approximates every state a chunk boundary can be in, so the
-//! guided matcher's restricted tables always contain the true state.
+//! The matcher reads one number from a report: the convergence-guided
+//! `SpeculativeDfaMatcher` starts deduplicating each chunk's state vector
+//! at the compaction horizon. Deduplication is exact whatever the horizon,
+//! so the analysis steers only speed, never a verdict. It does not choose
+//! a strategy either: `Strategy::Auto` runs SFA composition (the paper's
+//! Algorithm 5) whatever the class.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-use sfa_automata::{ByteClasses, Dfa, StateId};
+use sfa_automata::{Dfa, StateId};
 use std::collections::VecDeque;
 
-/// Caps on the analysis cost. The defaults keep the pass cheap enough to
-/// run lazily on first use inside a compiled regex.
-#[derive(Clone, Debug)]
-pub struct AnalysisConfig {
-    /// Maximum number of reach-fixpoint iterations (`R_k` levels) before
-    /// giving up on stabilization. Real scanning automata stabilize in a
-    /// handful of steps; bounded-length whole-match automata need about
-    /// their maximum word length.
-    pub depth_cap: usize,
-    /// Pair-automaton analysis (merging/reset words) is skipped for
-    /// automata with more states than this — it costs `O(|Q|² · |Σ|)`
-    /// time and `O(|Q|²)` memory. Skipping is conservative: the automaton
-    /// classifies as [`Converging`](ConvergenceClass::Converging) or
-    /// [`NonConverging`](ConvergenceClass::NonConverging) from the reach
-    /// fixpoint alone.
-    pub pair_state_cap: usize,
-}
+/// Maximum number of reach-fixpoint levels computed before the analysis
+/// stops waiting for `R_k` to stabilize. Real scanning automata stabilize
+/// in a handful of steps; bounded-length whole-match automata need about
+/// their maximum word length.
+const DEPTH_CAP: usize = 64;
 
-impl Default for AnalysisConfig {
-    fn default() -> AnalysisConfig {
-        AnalysisConfig { depth_cap: 64, pair_state_cap: 256 }
-    }
-}
+/// The pair-automaton analysis (merging/reset words) is skipped for
+/// automata with more states than this — it costs `O(|Q|² · |Σ|)` time
+/// and `O(|Q|²)` memory. Skipping is conservative: the automaton then
+/// classifies as [`Converging`](ConvergenceClass::Converging) or
+/// [`NonConverging`](ConvergenceClass::NonConverging) from the reach
+/// fixpoint alone.
+const PAIR_STATE_CAP: usize = 256;
 
 /// The per-automaton convergence verdict (see [`ConvergenceReport`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -75,13 +61,13 @@ pub enum ConvergenceClass {
         /// Length in bytes of the reset word the greedy merger found (an
         /// upper bound on the shortest one).
         horizon: usize,
-        /// `|R_∞|` — how many states remain reachable under arbitrary
-        /// input, i.e. the worst-case entry-set size for a late chunk.
+        /// `|R_∞|` — how many states remain reachable under arbitrarily
+        /// long input.
         survivors: usize,
     },
     /// No reset word was found, but the reach fixpoint shrank: only
     /// `survivors < |Q|` states are reachable after long arbitrary input
-    /// (the rest are transient), so restricted speculation still pays.
+    /// (the rest are transient).
     Converging {
         /// `|R_∞|`, as above.
         survivors: usize,
@@ -92,27 +78,19 @@ pub enum ConvergenceClass {
     NonConverging,
 }
 
-/// The result of analyzing one [`Dfa`]: reach sets, reset word, dead /
-/// unreachable / sink maps and the [`ConvergenceClass`] verdict. Built by
+/// The result of analyzing one [`Dfa`]: survivor count, reset word,
+/// compaction horizon and the [`ConvergenceClass`] verdict. Built by
 /// [`ConvergenceReport::analyze`]; all queries afterwards are cheap.
 #[derive(Clone, Debug)]
 pub struct ConvergenceReport {
     num_states: usize,
-    classes: ByteClasses,
-    /// `levels[k]` = sorted ids of `R_k`; `levels[0]` is all of `Q` and
-    /// the sets only shrink. The last level is the fixpoint (or the
-    /// depth-capped frontier).
-    levels: Vec<Vec<StateId>>,
-    stabilized: bool,
+    /// `|R_∞|`: the size of the last computed reach level.
+    survivors: usize,
+    /// The fixpoint depth of the reach chain (the depth cap when it did
+    /// not stabilize).
+    reach_depth: usize,
     reset_word: Option<Vec<u8>>,
     pair_analysis_ran: bool,
-    unreachable: Vec<bool>,
-    dead: Vec<bool>,
-    sink_distance: Vec<Option<u32>>,
-    /// Per byte class: `|δ(R_∞, c)|`, the entry-set size a chunk boundary
-    /// placed right after a byte of that class would see.
-    class_image_sizes: Vec<usize>,
-    min_class_image: usize,
     class: ConvergenceClass,
 }
 
@@ -166,27 +144,21 @@ impl InverseEdges {
 }
 
 impl ConvergenceReport {
-    /// Analyzes a DFA with the default [`AnalysisConfig`].
+    /// Analyzes a DFA: the reach fixpoint (at most 64 levels) and, for
+    /// automata of at most 256 states, the pair analysis.
     pub fn analyze(dfa: &Dfa) -> ConvergenceReport {
-        ConvergenceReport::analyze_with(dfa, &AnalysisConfig::default())
-    }
-
-    /// Analyzes a DFA under explicit cost caps.
-    pub fn analyze_with(dfa: &Dfa, config: &AnalysisConfig) -> ConvergenceReport {
         let n = dfa.num_states();
         let nc = dfa.num_classes() as u16;
-        let classes = dfa.classes().clone();
 
-        // (a) The reach fixpoint R_0 ⊇ R_1 ⊇ … (images only shrink, so a
+        // The reach fixpoint R_0 ⊇ R_1 ⊇ … (images only shrink, so a
         // level with the same cardinality as its predecessor *is* the
-        // fixpoint).
-        let mut levels: Vec<Vec<StateId>> = vec![(0..n as StateId).collect()];
-        let mut stabilized = false;
-        for _ in 0..config.depth_cap {
-            let prev = levels.last().expect("at least R_0");
-            let mut mark = vec![false; n];
-            let mut next: Vec<StateId> = Vec::with_capacity(prev.len());
-            for &q in prev {
+        // fixpoint). Only the current level is kept.
+        let mut reach: Vec<StateId> = (0..n as StateId).collect();
+        let mut reach_depth = 0;
+        let mut mark = vec![false; n];
+        while reach_depth < DEPTH_CAP {
+            let mut next: Vec<StateId> = Vec::with_capacity(reach.len());
+            for &q in &reach {
                 for c in 0..nc {
                     let t = dfa.next_by_class(q, c);
                     if !mark[t as usize] {
@@ -195,49 +167,25 @@ impl ConvergenceReport {
                     }
                 }
             }
-            if next.len() == prev.len() {
-                stabilized = true;
+            for &t in &next {
+                mark[t as usize] = false;
+            }
+            if next.len() == reach.len() {
                 break;
             }
-            next.sort_unstable();
-            levels.push(next);
+            reach = next;
+            reach_depth += 1;
         }
+        let survivors = reach.len();
 
-        let inverse = InverseEdges::build(dfa);
-
-        // (c) Dead / unreachable / sink-distance maps.
-        let dead: Vec<bool> = dfa.live_states().iter().map(|&l| !l).collect();
-        let unreachable = unreachable_states(dfa);
-        let sink_distance = sink_distances(dfa, &inverse);
-
-        // (b) Greedy Eppstein pair-merging, capped by automaton size.
+        // Greedy Eppstein pair-merging, capped by automaton size.
         let (reset_word, pair_analysis_ran) = if n == 1 {
             (Some(Vec::new()), true)
-        } else if n <= config.pair_state_cap {
-            (find_reset_word(dfa, &inverse), true)
+        } else if n <= PAIR_STATE_CAP {
+            (find_reset_word(dfa, &InverseEdges::build(dfa)), true)
         } else {
             (None, false)
         };
-
-        let survivors_set = levels.last().expect("at least R_0");
-        let survivors = survivors_set.len();
-        let mut class_image_sizes = Vec::with_capacity(nc as usize);
-        let mut mark = vec![false; n];
-        for c in 0..nc {
-            let mut size = 0usize;
-            for &q in survivors_set {
-                let t = dfa.next_by_class(q, c) as usize;
-                if !mark[t] {
-                    mark[t] = true;
-                    size += 1;
-                }
-            }
-            for &q in survivors_set {
-                mark[dfa.next_by_class(q, c) as usize] = false;
-            }
-            class_image_sizes.push(size);
-        }
-        let min_class_image = class_image_sizes.iter().copied().min().unwrap_or(n);
 
         let class = match &reset_word {
             Some(word) => ConvergenceClass::Synchronizing { horizon: word.len(), survivors },
@@ -247,16 +195,10 @@ impl ConvergenceReport {
 
         ConvergenceReport {
             num_states: n,
-            classes,
-            levels,
-            stabilized,
+            survivors,
+            reach_depth,
             reset_word,
             pair_analysis_ran,
-            unreachable,
-            dead,
-            sink_distance,
-            class_image_sizes,
-            min_class_image,
             class,
         }
     }
@@ -271,41 +213,15 @@ impl ConvergenceReport {
         self.class
     }
 
-    /// `R_k` — the sorted ids of every state reachable after `k` bytes of
-    /// arbitrary input. `k` past the computed depth clamps to the last
-    /// level (sound: the sets only shrink).
-    pub fn reach_set(&self, k: usize) -> &[StateId] {
-        &self.levels[k.min(self.levels.len() - 1)]
-    }
-
-    /// The deepest computed reach level: the fixpoint depth when
-    /// [`stabilized`](ConvergenceReport::stabilized) is true, the depth
-    /// cap otherwise.
-    pub fn reach_horizon(&self) -> usize {
-        self.levels.len() - 1
-    }
-
-    /// Whether the reach fixpoint stabilized before the depth cap.
-    pub fn stabilized(&self) -> bool {
-        self.stabilized
-    }
-
-    /// `R_∞` (really the last computed level): the worst-case entry set
-    /// of a chunk starting after at least
-    /// [`reach_horizon`](ConvergenceReport::reach_horizon) bytes.
-    pub fn survivors(&self) -> &[StateId] {
-        self.levels.last().expect("at least R_0")
-    }
-
-    /// `|R_∞|`.
+    /// `|R_∞|`: how many states remain reachable after arbitrarily long
+    /// input (really after the last computed reach level).
     pub fn survivor_count(&self) -> usize {
-        self.survivors().len()
+        self.survivors
     }
 
     /// The reset word found by greedy pair-merging: a word sending every
     /// state to one state. `None` when the automaton is not synchronizing
-    /// (or the pair analysis was skipped by
-    /// [`AnalysisConfig::pair_state_cap`]).
+    /// (or the pair analysis was skipped past 256 states).
     pub fn reset_word(&self) -> Option<&[u8]> {
         self.reset_word.as_deref()
     }
@@ -316,74 +232,14 @@ impl ConvergenceReport {
         self.pair_analysis_ran
     }
 
-    /// Per-state map: true when the state cannot be reached from the
-    /// start state (minimized automata have none).
-    pub fn unreachable_states(&self) -> &[bool] {
-        &self.unreachable
-    }
-
-    /// Per-state map: true when the state can no longer reach an
-    /// accepting state (the complement of [`Dfa::live_states`]).
-    pub fn dead_states(&self) -> &[bool] {
-        &self.dead
-    }
-
-    /// Per-state map: the minimum number of bytes driving the state into
-    /// an absorbing sink (a state whose every transition self-loops);
-    /// `None` when no sink is reachable from it. Sinks themselves are
-    /// `Some(0)`.
-    pub fn sink_distance(&self) -> &[Option<u32>] {
-        &self.sink_distance
-    }
-
-    /// `|δ(R_∞, class_of(byte))|` — how many states survive a chunk
-    /// boundary placed right after this byte. The guided chunk splitter
-    /// nudges boundaries to sit after bytes minimizing this.
-    pub fn boundary_image_size(&self, byte: u8) -> usize {
-        self.class_image_sizes[self.classes.class_of(byte) as usize]
-    }
-
-    /// True for bytes whose class achieves the minimum boundary image —
-    /// and that minimum actually shrinks the survivor set. These are the
-    /// "likely synchronizing" positions worth nudging a chunk boundary
-    /// behind.
-    pub fn is_synchronizing_byte(&self, byte: u8) -> bool {
-        self.min_class_image < self.survivor_count()
-            && self.boundary_image_size(byte) == self.min_class_image
-    }
-
-    /// The byte horizon after which a speculative worker should first try
-    /// to compact its state table: the reset-word length for
-    /// synchronizing automata, the reach fixpoint depth otherwise.
+    /// The byte offset at which a speculative worker first deduplicates
+    /// its state vector: the reset-word length for synchronizing
+    /// automata, the reach fixpoint depth otherwise.
     pub fn compaction_horizon(&self) -> usize {
         match self.class {
             ConvergenceClass::Synchronizing { horizon, .. } => horizon,
-            _ => self.reach_horizon(),
+            _ => self.reach_depth,
         }
-    }
-
-    /// The sound entry set for a chunk preceded by `prev_len` bytes of
-    /// input ending in `prev_byte`: `δ(R_{prev_len − 1}, class_of(prev_byte))`,
-    /// sorted. Whatever state the *true* run is in at that boundary — and
-    /// whatever states a worst-case upstream chunk map could produce — is
-    /// in this set, because any state at the boundary was reached by at
-    /// least `prev_len − 1` arbitrary bytes followed by `prev_byte`.
-    ///
-    /// `dfa` must be the automaton this report was computed from.
-    pub fn entry_set(&self, dfa: &Dfa, prev_len: usize, prev_byte: u8) -> Vec<StateId> {
-        let level = self.reach_set(prev_len.saturating_sub(1));
-        let class = self.classes.class_of(prev_byte);
-        let mut mark = vec![false; self.num_states];
-        let mut out = Vec::with_capacity(level.len());
-        for &q in level {
-            let t = dfa.next_by_class(q, class);
-            if !mark[t as usize] {
-                mark[t as usize] = true;
-                out.push(t);
-            }
-        }
-        out.sort_unstable();
-        out
     }
 
     /// The durable projection of this report: the four facts worth
@@ -404,8 +260,7 @@ impl ConvergenceReport {
 /// in a form cheap enough to travel inside a serialized automaton
 /// artifact. A worker that loads an artifact reads the verdict from here
 /// instead of re-running the analysis; only an actual guided speculative
-/// *run* (which needs the full reach-set levels) recomputes the report,
-/// lazily.
+/// *run* recomputes the report, lazily.
 ///
 /// The wire encoding is a little-endian byte string (see
 /// [`to_bytes`](ConvergenceSummary::to_bytes)); it is embedded verbatim
@@ -496,52 +351,6 @@ impl ConvergenceSummary {
         }
         Some(ConvergenceSummary { class, horizon, survivors, reset_word })
     }
-}
-
-/// Forward BFS from the start state over all byte classes.
-fn unreachable_states(dfa: &Dfa) -> Vec<bool> {
-    let n = dfa.num_states();
-    let nc = dfa.num_classes() as u16;
-    let mut seen = vec![false; n];
-    let mut queue = VecDeque::new();
-    seen[dfa.start() as usize] = true;
-    queue.push_back(dfa.start());
-    while let Some(q) = queue.pop_front() {
-        for c in 0..nc {
-            let t = dfa.next_by_class(q, c);
-            if !seen[t as usize] {
-                seen[t as usize] = true;
-                queue.push_back(t);
-            }
-        }
-    }
-    seen.into_iter().map(|s| !s).collect()
-}
-
-/// Multi-source backward BFS from the absorbing sinks.
-fn sink_distances(dfa: &Dfa, inverse: &InverseEdges) -> Vec<Option<u32>> {
-    let n = dfa.num_states();
-    let nc = dfa.num_classes() as u16;
-    let mut dist: Vec<Option<u32>> = vec![None; n];
-    let mut queue = VecDeque::new();
-    for q in 0..n as StateId {
-        if (0..nc).all(|c| dfa.next_by_class(q, c) == q) {
-            dist[q as usize] = Some(0);
-            queue.push_back(q);
-        }
-    }
-    while let Some(q) = queue.pop_front() {
-        let d = dist[q as usize].expect("queued states have distances");
-        for c in 0..nc {
-            for &p in inverse.preds(c, q) {
-                if dist[p as usize].is_none() {
-                    dist[p as usize] = Some(d + 1);
-                    queue.push_back(p);
-                }
-            }
-        }
-    }
-    dist
 }
 
 /// Index of the unordered pair `{p, q}` (`p < q`) in a triangular array.
@@ -643,7 +452,7 @@ fn find_reset_word(dfa: &Dfa, inverse: &InverseEdges) -> Option<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sfa_automata::minimal_dfa_from_pattern;
+    use sfa_automata::{minimal_dfa_from_pattern, ByteClasses};
     use sfa_regex_syntax::class::ByteSet;
 
     /// Builds a DFA over bytes `a`, `b` (everything else a third class)
@@ -689,7 +498,6 @@ mod tests {
     fn whole_mode_literal_is_synchronizing_with_one_survivor() {
         let dfa = minimal_dfa_from_pattern("abc").unwrap();
         let report = ConvergenceReport::analyze(&dfa);
-        assert!(report.stabilized());
         // Arbitrary long input kills a bounded-length whole-match
         // automaton: only the failure sink survives.
         assert_eq!(report.survivor_count(), 1);
@@ -697,14 +505,11 @@ mod tests {
             ConvergenceClass::Synchronizing { horizon, survivors } => {
                 assert_eq!(survivors, 1);
                 assert_eq!(horizon, report.reset_word().unwrap().len());
+                assert_eq!(report.compaction_horizon(), horizon);
             }
             other => panic!("expected Synchronizing, got {other:?}"),
         }
         assert_reset_word_resets(&dfa, report.reset_word().unwrap());
-        // The failure sink is the one absorbing state: distance 0 from
-        // itself, finite from everywhere (the language is finite).
-        assert!(report.sink_distance().iter().all(|d| d.is_some()));
-        assert!(report.unreachable_states().iter().all(|&u| !u), "minimal DFA is trim");
     }
 
     #[test]
@@ -749,8 +554,8 @@ mod tests {
         assert_eq!(report.reset_word(), None);
         assert!(report.pair_analysis_ran());
         assert_eq!(report.survivor_count(), n);
-        // No absorbing sink anywhere in a permutation automaton.
-        assert!(report.sink_distance().iter().all(|d| d.is_none()));
+        // R_1 = Q already: the reach chain is stable at depth 0.
+        assert_eq!(report.compaction_horizon(), 0);
     }
 
     #[test]
@@ -763,69 +568,26 @@ mod tests {
         let report = ConvergenceReport::analyze(&dfa);
         assert_eq!(report.class(), ConvergenceClass::Converging { survivors: 2 });
         assert_eq!(report.reset_word(), None);
-        assert_eq!(report.survivors(), &[1, 2]);
-        assert_eq!(report.reach_horizon(), 1);
-        assert!(report.stabilized());
-    }
-
-    #[test]
-    fn reach_sets_shrink_and_clamp() {
-        // Whole-match `abc`: R_k loses one state per step until only the
-        // sink remains.
-        let dfa = minimal_dfa_from_pattern("abc").unwrap();
-        let report = ConvergenceReport::analyze(&dfa);
-        let n = dfa.num_states();
-        assert_eq!(report.reach_set(0).len(), n);
-        for k in 1..=report.reach_horizon() {
-            assert!(report.reach_set(k).len() <= report.reach_set(k - 1).len());
-        }
-        // Past the computed depth the query clamps to the fixpoint.
-        assert_eq!(report.reach_set(10_000), report.survivors());
-        // Every reach set is sorted (binary-searchable).
-        for k in 0..=report.reach_horizon() {
-            assert!(report.reach_set(k).windows(2).all(|w| w[0] < w[1]));
-        }
-    }
-
-    #[test]
-    fn entry_sets_cover_the_true_boundary_state() {
-        let dfa = minimal_dfa_from_pattern("(a|b)*abb").unwrap();
-        let report = ConvergenceReport::analyze(&dfa);
-        // Brute-force check: for every short word, the state the word
-        // actually reaches is inside the entry set computed from the
-        // word's length and last byte.
-        let alphabet = [b'a', b'b', b'x'];
-        let mut words: Vec<Vec<u8>> = alphabet.iter().map(|&b| vec![b]).collect();
-        for _ in 0..3 {
-            let mut longer = Vec::new();
-            for w in &words {
-                for &b in &alphabet {
-                    let mut v = w.clone();
-                    v.push(b);
-                    longer.push(v);
-                }
-            }
-            words.extend(longer);
-        }
-        for w in &words {
-            let truth = dfa.run(w);
-            let entry = report.entry_set(&dfa, w.len(), w[w.len() - 1]);
-            assert!(entry.binary_search(&truth).is_ok(), "word {w:?} escaped its entry set");
-            // And the entry set is never larger than the plain reach set.
-            assert!(entry.len() <= report.reach_set(w.len().saturating_sub(1)).len());
-        }
+        assert_eq!(report.survivor_count(), 2);
+        // Without a reset word the horizon is the reach fixpoint depth.
+        assert_eq!(report.compaction_horizon(), 1);
     }
 
     #[test]
     fn pair_cap_skips_pair_analysis_but_keeps_reach() {
-        let dfa = minimal_dfa_from_pattern("abc").unwrap();
-        let capped = AnalysisConfig { pair_state_cap: 1, ..AnalysisConfig::default() };
-        let report = ConvergenceReport::analyze_with(&dfa, &capped);
+        // Whole-match `a{300}`: a 301-state chain plus the failure sink,
+        // past the pair cap. Each reach level drops one chain state, so
+        // the depth cap stops the fixpoint before it stabilizes.
+        let dfa = minimal_dfa_from_pattern("a{300}").unwrap();
+        assert!(dfa.num_states() > PAIR_STATE_CAP);
+        let report = ConvergenceReport::analyze(&dfa);
         assert!(!report.pair_analysis_ran());
         assert_eq!(report.reset_word(), None);
-        // Reach still shrinks to the sink, so the verdict degrades to
-        // Converging, not NonConverging.
-        assert_eq!(report.class(), ConvergenceClass::Converging { survivors: 1 });
+        // Reach still shrinks, so the verdict degrades to Converging, not
+        // NonConverging.
+        let survivors = dfa.num_states() - DEPTH_CAP;
+        assert_eq!(report.class(), ConvergenceClass::Converging { survivors });
+        assert_eq!(report.compaction_horizon(), DEPTH_CAP);
     }
 
     #[test]
@@ -835,38 +597,6 @@ mod tests {
         let report = ConvergenceReport::analyze(&dfa);
         assert_eq!(report.class(), ConvergenceClass::Synchronizing { horizon: 0, survivors: 1 });
         assert_eq!(report.reset_word(), Some(&[][..]));
-    }
-
-    #[test]
-    fn boundary_image_sizes_reflect_class_collapse() {
-        // Whole-match `a{3}`: the byte `x` (any non-`a`) sends every
-        // state straight to the sink — boundary image 1 — while `a`
-        // advances the chain.
-        let dfa = minimal_dfa_from_pattern("a{3}").unwrap();
-        let report = ConvergenceReport::analyze(&dfa);
-        // At the fixpoint only the sink survives, so every boundary image
-        // is 1 and no byte is a *strict* synchronizer.
-        assert_eq!(report.survivor_count(), 1);
-        assert!(!report.is_synchronizing_byte(b'x'));
-
-        // A Contains-style automaton keeps all states reachable; benign
-        // bytes collapse more than needle bytes.
-        let dfa = minimal_dfa_from_pattern("(?s).*abc.*").unwrap();
-        let report = ConvergenceReport::analyze(&dfa);
-        if report.survivor_count() > report.boundary_image_size(b'x') {
-            assert!(report.is_synchronizing_byte(b'x') || report.boundary_image_size(b'x') > 1);
-        }
-    }
-
-    #[test]
-    fn dead_map_complements_live_states() {
-        let dfa = minimal_dfa_from_pattern("ab|cd").unwrap();
-        let report = ConvergenceReport::analyze(&dfa);
-        let live = dfa.live_states();
-        assert_eq!(report.dead_states().len(), dfa.num_states());
-        for (dead, live) in report.dead_states().iter().zip(live) {
-            assert_eq!(*dead, !live);
-        }
     }
 
     #[test]

@@ -85,8 +85,8 @@ pub struct SizeReport {
     /// slowest shard (per-shard maximum).
     pub convergence_horizon: usize,
     /// `|R_∞|` — the number of DFA states still reachable after
-    /// arbitrarily long input, i.e. the worst-case speculative entry-set
-    /// size. Equals `dfa_states` when no analysis ran (every state
+    /// arbitrarily long input (the reach fixpoint of the offline
+    /// analysis). Equals `dfa_states` when no analysis ran (every state
     /// survives — the paper's Algorithm 3 assumption). Summed across
     /// shards in a combined report, like the state counts.
     pub survivor_states: usize,

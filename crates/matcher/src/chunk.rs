@@ -38,71 +38,6 @@ pub fn split_chunks(input: &[u8], chunks: usize) -> Vec<&[u8]> {
     out
 }
 
-/// Like [`split_chunks`] but returns `(offset, slice)` pairs.
-pub fn split_chunks_with_offsets(input: &[u8], chunks: usize) -> Vec<(usize, &[u8])> {
-    let mut offset = 0;
-    split_chunks(input, chunks)
-        .into_iter()
-        .map(|chunk| {
-            let entry = (offset, chunk);
-            offset += chunk.len();
-            entry
-        })
-        .collect()
-}
-
-/// Like [`split_chunks_with_offsets`], but nudges every interior chunk
-/// boundary forward to sit just *after* the first likely-synchronizing
-/// byte (per `is_sync`) within `window` bytes of the even split point.
-///
-/// Theorem 3 makes any split correct; this one is merely *faster* for the
-/// convergence-guided speculative matcher: a chunk that begins right
-/// after a synchronizing byte has a minimal entry set (see
-/// `sfa_analysis::ConvergenceReport::is_synchronizing_byte`), so the
-/// downstream worker simulates from almost nothing instead of from every
-/// survivor. Boundaries never move past the following chunk's territory
-/// (each nudge is capped one byte short of the next split point), so the
-/// result is always at most `chunks` non-empty contiguous slices covering
-/// the input exactly — the same contract as [`split_chunks`].
-pub fn split_chunks_guided<F>(
-    input: &[u8],
-    chunks: usize,
-    window: usize,
-    is_sync: F,
-) -> Vec<(usize, &[u8])>
-where
-    F: Fn(u8) -> bool,
-{
-    let even = split_chunks_with_offsets(input, chunks);
-    if even.len() <= 1 {
-        return even;
-    }
-    // Nudge each interior boundary: boundary b covers input[b - 1] as the
-    // previous chunk's last byte, so searching j ∈ [b-1, …] for a sync
-    // byte and cutting at j + 1 puts that byte *behind* the boundary.
-    let mut bounds: Vec<usize> = Vec::with_capacity(even.len() + 1);
-    bounds.push(0);
-    for w in even.windows(2) {
-        bounds.push(w[1].0);
-    }
-    bounds.push(input.len());
-    for i in 1..bounds.len() - 1 {
-        let b = bounds[i];
-        let next = bounds[i + 1];
-        // Keep the next chunk non-empty (≤ next - 2 ⇒ new boundary ≤
-        // next - 1) and stay inside the input.
-        let hi = (b - 1 + window).min(next.saturating_sub(2)).min(input.len() - 2);
-        if hi < b - 1 {
-            continue;
-        }
-        if let Some(offset) = input[b - 1..=hi].iter().position(|&byte| is_sync(byte)) {
-            bounds[i] = b + offset;
-        }
-    }
-    debug_assert!(bounds.windows(2).all(|w| w[0] < w[1]), "boundaries stay strictly increasing");
-    bounds.windows(2).map(|w| (w[0], &input[w[0]..w[1]])).collect()
-}
-
 /// Packs consecutive items into groups bounded by total size: each
 /// returned range covers adjacent indices of `sizes` whose sum stays
 /// within `max_bytes`, and a group is only closed at a multiple of
@@ -246,55 +181,5 @@ mod tests {
                 assert_eq!(covered, (0..sizes.len()).collect::<Vec<_>>(), "bound {bound}");
             }
         }
-    }
-
-    #[test]
-    fn guided_split_nudges_boundaries_after_sync_bytes() {
-        // Sync byte = b'.'. The even 2-way split of 10 bytes cuts at 5;
-        // the '.' at index 6 is within the window, so the boundary moves
-        // to 7 (just past it).
-        let input = b"abcabc.abc";
-        let got = split_chunks_guided(input, 2, 8, |b| b == b'.');
-        assert_eq!(got, vec![(0, &b"abcabc."[..]), (7, &b"abc"[..])]);
-        // No sync byte in the window: the even split stands.
-        let got = split_chunks_guided(input, 2, 8, |b| b == b'!');
-        assert_eq!(got, vec![(0, &b"abcab"[..]), (5, &b"c.abc"[..])]);
-        // A sync byte right past the even split moves the cut one byte.
-        let got = split_chunks_guided(b"abcde.fgh", 2, 1, |b| b == b'.');
-        assert_eq!(got[1].0, 6);
-    }
-
-    #[test]
-    fn guided_split_keeps_the_split_contract() {
-        let input: Vec<u8> = (0..=255u8).cycle().take(1003).collect();
-        for p in [1usize, 2, 3, 7, 12, 100, 1000, 1003, 5000] {
-            for window in [0usize, 1, 7, 64, 10_000] {
-                // An adversarial predicate that fires on most bytes.
-                let got = split_chunks_guided(&input, p, window, |b| b % 3 == 0);
-                let reassembled: Vec<u8> =
-                    got.iter().flat_map(|(_, c)| c.iter().copied()).collect();
-                assert_eq!(reassembled, input, "p={p} window={window}");
-                assert!(got.len() <= p.max(1));
-                assert!(got.iter().all(|(_, c)| !c.is_empty()));
-                let mut offset = 0;
-                for (o, c) in &got {
-                    assert_eq!(*o, offset);
-                    offset += c.len();
-                }
-            }
-        }
-        // Degenerate inputs fall back to the plain splitter.
-        assert_eq!(split_chunks_guided(b"", 4, 8, |_| true), vec![(0, &b""[..])]);
-        assert_eq!(split_chunks_guided(b"x", 4, 8, |_| true), vec![(0, &b"x"[..])]);
-    }
-
-    #[test]
-    fn offsets_are_cumulative() {
-        let input = b"abcdefghij";
-        let chunks = split_chunks_with_offsets(input, 3);
-        assert_eq!(chunks.len(), 3);
-        assert_eq!(chunks[0], (0, &b"abcd"[..]));
-        assert_eq!(chunks[1], (4, &b"efg"[..]));
-        assert_eq!(chunks[2], (7, &b"hij"[..]));
     }
 }

@@ -121,9 +121,7 @@ pub mod speculative;
 pub mod strategy;
 pub mod stream;
 
-pub use chunk::{
-    pack_by_bytes_lanes, split_chunks, split_chunks_guided, split_chunks_with_offsets,
-};
+pub use chunk::{pack_by_bytes_lanes, split_chunks};
 pub use error::Error;
 pub use matches::SetMatches;
 pub use parallel::{ParallelNSfaMatcher, ParallelSfaMatcher};
@@ -133,11 +131,11 @@ pub use regex::{default_threads, BackendChoice, MatchMode, Regex, RegexBuilder, 
 // Re-exported so `Regex::backend_kind` / `Regex::sfa` /
 // `RegexBuilder::state_id_repr` / `SetMatches::as_pattern_set` types are
 // nameable from this crate alone.
-pub use sfa_analysis::{AnalysisConfig, ConvergenceClass, ConvergenceReport};
+pub use sfa_analysis::{ConvergenceClass, ConvergenceReport};
 pub use sfa_automata::{PatternId, PatternSet};
 pub use sfa_core::{BackendKind, SfaBackend, StateIdRepr};
 pub use shard::Shard;
-pub use speculative::{ChunkMap, SpeculativeDfaMatcher};
+pub use speculative::SpeculativeDfaMatcher;
 pub use strategy::Strategy;
 pub use stream::{SetStream, StreamMatcher};
 
@@ -208,16 +206,15 @@ mod proptests {
 
         /// The convergence-guided speculative matcher reaches exactly the
         /// sequential DFA's end state on random automata × thread counts
-        /// × reductions × chunk boundaries, whatever the automaton's
-        /// convergence class — entry sets only over-approximate, so
-        /// guidance can never change the verdict. The analysis artifacts
-        /// themselves are sanity-checked on every case (reach sets shrink,
-        /// a found reset word really resets, entry sets cover the true
-        /// boundary state).
+        /// × reductions, whatever the automaton's convergence class:
+        /// compaction only drops duplicate states, so it can never change
+        /// the verdict. Inputs run to 2 000 bytes, so chunks cross several
+        /// doubling checkpoints. A reset word, when the analysis claims
+        /// one, is checked to really reset.
         #[test]
         fn convergence_guided_speculation_agrees_with_sequential(
             seed in any::<u64>(),
-            input in "[a-c]{0,60}",
+            input in "[a-c]{0,2000}",
             threads in 1usize..9,
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
@@ -228,11 +225,6 @@ mod proptests {
             prop_assert_eq!(dfa.validate(), Ok(()));
             let report = ConvergenceReport::analyze(&dfa);
 
-            // Analysis sanity: the reach chain shrinks monotonically…
-            for k in 1..=report.reach_horizon() {
-                prop_assert!(report.reach_set(k).len() <= report.reach_set(k - 1).len());
-            }
-            // …a reset word, when claimed, really merges every state…
             if let Some(word) = report.reset_word() {
                 let mut targets: Vec<_> =
                     (0..dfa.num_states() as u32).map(|q| dfa.run_from(q, word)).collect();
@@ -240,18 +232,15 @@ mod proptests {
                 targets.dedup();
                 prop_assert_eq!(targets.len(), 1);
             }
-            // …and the entry set of every prefix split covers the state
-            // the true run is in at that boundary.
-            let bytes = input.as_bytes();
-            for split in [bytes.len() / 3, bytes.len() / 2] {
-                if split == 0 { continue; }
-                let entry = report.entry_set(&dfa, split, bytes[split - 1]);
-                let truth = dfa.run(&bytes[..split]);
-                prop_assert!(entry.binary_search(&truth).is_ok());
-            }
 
+            // A dedicated multi-worker engine, so the input is cut into
+            // up to four chunks even on a one-CPU machine.
+            static ENGINE: std::sync::OnceLock<Engine> = std::sync::OnceLock::new();
+            let engine = ENGINE.get_or_init(|| Engine::new(4));
+            let bytes = input.as_bytes();
             let expected = dfa.run(bytes);
-            let guided = SpeculativeDfaMatcher::new(&dfa).with_analysis(&report);
+            let guided =
+                SpeculativeDfaMatcher::with_engine(&dfa, engine.clone()).with_analysis(&report);
             for reduction in [Reduction::Sequential, Reduction::Tree] {
                 prop_assert_eq!(guided.run(bytes, threads, reduction), expected);
             }

@@ -373,9 +373,9 @@ pub struct Regex {
     convergence: std::sync::OnceLock<sfa_analysis::ConvergenceReport>,
     /// The durable projection of the convergence analysis carried by an
     /// artifact ([`Regex::from_artifact`]). Lets [`Regex::size_report`]
-    /// answer without re-running the reach-set analysis; an actual guided
-    /// speculative run still computes the full report (it needs the
-    /// per-state entry sets, not just the class).
+    /// answer without re-running the analysis; an actual guided
+    /// speculative run still computes the full report, because
+    /// [`SpeculativeDfaMatcher::with_analysis`] takes one.
     convergence_summary: Option<sfa_analysis::ConvergenceSummary>,
 }
 
@@ -442,8 +442,8 @@ impl Regex {
     pub fn size_report(&self) -> SizeReport {
         let mut report = SizeReport::of_backend(&self.dfa, &self.backend);
         // The durable summary answers the report's two convergence fields
-        // without the full reach-set analysis — on artifact-loaded
-        // regexes, size reporting stays a metadata read.
+        // without re-running the analysis — on artifact-loaded regexes,
+        // size reporting stays a metadata read.
         let (horizon, survivors) = match (self.convergence.get(), &self.convergence_summary) {
             (Some(full), _) => (full.compaction_horizon(), full.survivor_count()),
             (None, Some(summary)) => (summary.compaction_horizon(), summary.survivor_count()),
@@ -458,11 +458,11 @@ impl Regex {
     }
 
     /// The offline convergence analysis of this regex's DFA, computed on
-    /// first use and cached for the regex's lifetime: reach sets, reset
-    /// word, dead/sink maps and the
+    /// first use and cached for the regex's lifetime: survivor count,
+    /// reset word, compaction horizon and the
     /// [`ConvergenceClass`](sfa_analysis::ConvergenceClass) verdict. The
-    /// guided [`Strategy::Speculative`] path runs on it; it does not steer
-    /// [`Strategy::Auto`] (see [`Regex::auto_strategy`]).
+    /// guided [`Strategy::Speculative`] path reads its compaction horizon;
+    /// it does not steer [`Strategy::Auto`] (see [`Regex::auto_strategy`]).
     pub fn convergence_report(&self) -> &sfa_analysis::ConvergenceReport {
         self.convergence.get_or_init(|| sfa_analysis::ConvergenceReport::analyze(&self.dfa))
     }

@@ -2,7 +2,8 @@
 //!
 //! Every way this crate can execute a match — Algorithm 2's sequential
 //! scan, Algorithm 5's chunk-parallel SFA run, Algorithm 3's speculative
-//! baseline — is one value of [`Strategy`], consumed by the single
+//! simulation with in-chunk state compaction — is one value of
+//! [`Strategy`], consumed by the single
 //! [`Regex::run`](crate::Regex::run) core. `is_match` and
 //! [`RegexSet::matches`](crate::RegexSet::matches) route through it (the
 //! batch APIs too, for haystacks big enough to cut into pool chunks), so
@@ -42,8 +43,8 @@ pub enum Strategy {
         reduction: Reduction,
     },
     /// **Algorithm 3**, convergence-guided: speculative DFA simulation
-    /// restricted to the analysis entry sets, with guided chunk
-    /// boundaries and in-chunk state compaction (see
+    /// whose chunks deduplicate their state vectors at doubling
+    /// checkpoints from the analysis' compaction horizon (see
     /// [`SpeculativeDfaMatcher::with_analysis`](crate::SpeculativeDfaMatcher::with_analysis)).
     /// The prior-art all-states baseline — `O(|D|)` per byte — remains
     /// available by constructing a bare

@@ -8,9 +8,10 @@
 //!
 //! * [`regex_syntax`] — byte-oriented pattern parsing,
 //! * [`automata`] — NFA, subset construction, DFA, Hopcroft minimization,
-//! * [`analysis`] — offline convergence analysis of compiled DFAs (reach
-//!   sets, reset words, sink maps) steering the convergence-guided
-//!   speculative matcher,
+//! * [`analysis`] — offline convergence analysis of compiled DFAs
+//!   (survivor counts, reset words, convergence classes), whose
+//!   compaction horizon tells the guided speculative matcher when to
+//!   start deduplicating its chunk states,
 //! * [`core`] — the simultaneous finite automaton (D-SFA / N-SFA), the
 //!   correspondence construction, and the pluggable eager/lazy backend
 //!   abstraction ([`core::SfaBackend`]),
@@ -51,7 +52,7 @@ pub use sfa_workloads as workloads;
 
 /// The most commonly used items, re-exported flat.
 pub mod prelude {
-    pub use sfa_analysis::{AnalysisConfig, ConvergenceClass, ConvergenceReport};
+    pub use sfa_analysis::{ConvergenceClass, ConvergenceReport};
     pub use sfa_automata::{Dfa, Nfa};
     pub use sfa_automata::{PatternId, PatternSet};
     pub use sfa_core::{BackendKind, DSfa, LazyDSfa, NSfa, SfaBackend, SfaConfig};
